@@ -8,15 +8,15 @@
 //
 //	isebench                  # everything, default budgets
 //	isebench -fig 11 -measure # only Fig. 11, with simulator validation
-//	isebench -fig 11 -workers 8 -parallel -dedup -warmstart -prune
-//	                          # Fig. 11 with the engine optimizations on
+//	isebench -fig 11 -parallel -dedup -warmstart -prune
+//	                          # Fig. 11 with the search optimizations on
 //	                          # (same numbers, less wall clock)
 //	isebench -budget 10000000 # spend more search effort
 //	isebench -fig dse -dsejson PARETO.json
 //	                          # design-space-exploration sweep over the
 //	                          # (constraints × ninstr × benchmark ×
 //	                          # target) grid; the JSON is deterministic
-//	                          # (byte-identical across worker counts)
+//	                          # (byte-identical across -workers values)
 //	isebench -fig dsebench -dsebenchjson BENCH_PR9.json
 //	                          # cold serial vs warm-started parallel
 //	                          # sweep at identical per-cell selections
@@ -24,9 +24,6 @@
 //	                          # constraint-kernel microbenchmarks, written
 //	                          # as machine-readable JSON for run-to-run
 //	                          # comparison
-//	isebench -fig parbench -parjson BENCH_PR3.json
-//	                          # serial vs work-stealing parallel B&B on the
-//	                          # largest benchmark block
 //	isebench -fig selbench -seljson BENCH_PR4.json
 //	                          # cold serial vs speculative scheduled greedy
 //	                          # selection (optimal and iterative drivers)
@@ -71,8 +68,10 @@ type cliOpts struct {
 	benchSet bool // -benchmarks given explicitly
 	deadline time.Duration
 
-	// Fig. 11 engine knobs (result-preserving; wall clock only).
-	workers   int
+	// DSE sweep admission-pool size.
+	workers int
+
+	// Fig. 11 search knobs (result-preserving; wall clock only).
 	parallel  bool
 	speculate bool
 	dedup     bool
@@ -84,7 +83,6 @@ type cliOpts struct {
 	targets     []string
 	sweepMode   string
 	benchJSON   string
-	parJSON     string
 	selJSON     string
 	obsJSON     string
 	dedupJSON   string
@@ -96,15 +94,15 @@ type cliOpts struct {
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, parbench, selbench, obsbench, dedupbench, klbench, analyzebench, dse, dsebench, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, selbench, obsbench, dedupbench, klbench, analyzebench, dse, dsebench, all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
 	benches := flag.String("benchmarks", "adpcmdecode,adpcmencode,gsmlpc", "comma-separated benchmark list for Fig. 11 and the DSE sweep (sweep default: adpcmdecode,adpcmencode)")
 	flag.DurationVar(&o.deadline, "deadline", 0, "Fig. 11: wall-clock budget per selection call (e.g. 2s; 0 = none); tripped cells are marked * as lower bounds")
-	flag.IntVar(&o.workers, "workers", 0, "Fig. 11: per-search worker count (0 = serial); DSE sweep: admission-pool size")
+	flag.IntVar(&o.workers, "workers", 0, "DSE sweep: admission-pool size (0 = the sweep default, runtime.NumCPU())")
 	flag.BoolVar(&o.parallel, "parallel", false, "Fig. 11: search a selection's blocks concurrently")
-	flag.BoolVar(&o.speculate, "speculate", false, "Fig. 11: speculative work-stealing selection scheduler")
+	flag.BoolVar(&o.speculate, "speculate", false, "Fig. 11: speculative selection scheduler (one serial search per GOMAXPROCS slot)")
 	flag.BoolVar(&o.dedup, "dedup", false, "Fig. 11: cross-block structural dedup")
 	flag.BoolVar(&o.isegen, "isegen", false, "Fig. 11 / DSE: race the Kernighan-Lin toggle engine on exploding blocks (DSE: trades strict reproducibility for anytime quality)")
 	flag.BoolVar(&o.warmstart, "warmstart", false, "Fig. 11: seed each search with a windowed heuristic incumbent")
@@ -112,7 +110,6 @@ func main() {
 	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
 	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds/dedup, parallel) or cold (dedicated serial reference)")
 	flag.StringVar(&o.benchJSON, "benchjson", "", "with -fig bench (or all): write the constraint-kernel benchmark report to this file as JSON (e.g. BENCH_PR2.json)")
-	flag.StringVar(&o.parJSON, "parjson", "", "with -fig parbench (or all): write the parallel B&B benchmark report to this file as JSON (e.g. BENCH_PR3.json)")
 	flag.StringVar(&o.selJSON, "seljson", "", "with -fig selbench (or all): write the selection scheduler benchmark report to this file as JSON (e.g. BENCH_PR4.json)")
 	flag.StringVar(&o.obsJSON, "obsjson", "", "with -fig obsbench (or all): write the telemetry overhead benchmark report to this file as JSON (e.g. BENCH_PR5.json)")
 	flag.StringVar(&o.dedupJSON, "dedupjson", "", "with -fig dedupbench (or all): write the cross-block dedup benchmark report to this file as JSON (e.g. BENCH_PR7.json)")
@@ -159,20 +156,6 @@ func run(want func(string) bool, o cliOpts) error {
 				return err
 			}
 			fmt.Printf("wrote %s\n", o.benchJSON)
-		}
-	}
-
-	if want("parbench") || o.parJSON != "" {
-		rep, err := experiments.ParBench()
-		if err != nil {
-			return err
-		}
-		section(experiments.ParBenchTable(rep))
-		if o.parJSON != "" {
-			if err := rep.WriteJSON(o.parJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.parJSON)
 		}
 	}
 
@@ -315,7 +298,6 @@ func run(want func(string) bool, o cliOpts) error {
 		opt.Budget = o.budget
 		opt.Measure = o.measure
 		opt.Deadline = o.deadline
-		opt.Workers = o.workers
 		opt.Parallel = o.parallel
 		opt.Speculate = o.speculate
 		opt.Dedup = o.dedup

@@ -1,18 +1,18 @@
 // Command isetrace is the post-mortem analyzer for flight-recorder
 // traces written by `isex -trace`. It lifts the flat JSONL timeline
 // into the causal span tree (pipeline stage → DSE cell → block search →
-// worker lane → rescue/racer/greedy rung) and renders attribution views
+// searcher lane → rescue/racer/greedy rung) and renders attribution views
 // over it:
 //
 //	isetrace trace.jsonl                  # per-span summary, heaviest first
 //	isetrace -mode critical trace.jsonl   # critical path per root span
-//	isetrace -mode lanes trace.jsonl      # per-worker lane economics
+//	isetrace -mode lanes trace.jsonl      # per-ring lane economics
 //	isetrace -mode explain trace.jsonl    # deterministic attribution report
 //	isetrace -mode chrome trace.jsonl     # Chrome trace with span nesting
 //
 // summary/critical/lanes embrace wall-clock — byte-stable only against
 // a fixed trace file. explain is the deterministic view (same renderer
-// as `isex -explain`): byte-identical across worker counts for
+// as `isex -explain`): byte-identical across GOMAXPROCS values for
 // exhaustive runs. chrome re-exports for Perfetto / chrome://tracing
 // with cells, stages and block searches as nested duration events.
 package main

@@ -16,7 +16,7 @@
 //	1  error (bad flags, compile/profile failure, I/O failure, ...)
 //	2  -strict was set and the selection degraded below the exact
 //	   search (any per-block status other than "exhaustive": budget,
-//	   deadline, cancellation, watchdog stall, or a recovered failure).
+//	   deadline, cancellation, or a recovered failure).
 //	   A block whose answer came from the -isegen iterative racer (rung
 //	   "iterative") is by construction degraded — the racer only ever
 //	   stands in when the exact search did not terminate — so -strict
@@ -79,12 +79,11 @@ func run() error {
 		ninstr    = flag.Int("ninstr", 8, "maximum number of special instructions to select")
 		method    = flag.String("method", "iterative", "selection algorithm: iterative, optimal, clubbing, maxmiso")
 		budget    = flag.Int64("budget", 2_000_000, "cut budget per identification call (0 = unlimited)")
-		workers   = flag.Int("workers", 0, "run each block's exact search on the work-stealing parallel branch-and-bound engine with this many workers (0 = serial; results are bit-identical)")
-		speculate = flag.Bool("speculate", false, "route iterative/optimal selection through the speculative scheduler: idle workers pre-identify likely next-round winners and every search is warm-seeded (bit-identical selections; see also -workers)")
+		workers   = flag.Int("workers", 0, "-sweep: admission-pool size, the number of block searches the sweep runs at once (0 = runtime.NumCPU())")
+		speculate = flag.Bool("speculate", false, "route iterative/optimal selection through the speculative scheduler: idle CPUs (up to GOMAXPROCS concurrent searches) pre-identify likely next-round winners and every search is warm-seeded (bit-identical selections)")
 		dedup     = flag.Bool("dedup", true, "share identification results between isomorphic basic blocks: canonical graph hashing finds repeated structure, adopted cuts are translated and revalidated on the adopting block (bit-identical selections modulo node renaming; see dedup_hits and shared_instructions in -json)")
 		isegen    = flag.Bool("isegen", true, "race an ISEGEN-style Kernighan-Lin toggle heuristic against the exact search on exploding blocks: sound incumbents tighten the merit bound, and the best racer answer stands in when the exact search trips its budget or deadline (terminating blocks are bit-identical either way; see racer_merit and gap in -json)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
-		stallWin  = flag.Duration("stall-window", 0, "arm the parallel engine's watchdog (needs -workers): a worker with no progress for two such windows has its subproblem requeued for the others and the block degrades to 'stalled' (0 = off)")
 		strict    = flag.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
 		unroll    = flag.Int("unroll", 0, "fully unroll counted loops up to this trip count (-src mode)")
 		simulate  = flag.Bool("simulate", false, "patch the selection in and measure the speedup on the cycle simulator")
@@ -194,8 +193,7 @@ func run() error {
 
 	model := latency.Default()
 	cfg := core.Config{Nin: *nin, Nout: *nout, Model: model, MaxCuts: *budget,
-		Workers: *workers, Speculate: *speculate, Dedup: *dedup, ISEGen: *isegen,
-		StallWindow: *stallWin}
+		Speculate: *speculate, Dedup: *dedup, ISEGen: *isegen}
 
 	// Telemetry: the flight recorder is on when a trace output is wanted,
 	// the metrics registry when anything will read it (the HTTP endpoint

@@ -50,11 +50,7 @@ const (
 	// far (no windowed rescue is attempted — the caller asked to stop;
 	// only the O(E) greedy rung may still fill in an empty result).
 	Canceled
-	// Stalled: the engine watchdog found a worker making no poll
-	// progress and re-split its subproblem; the result is sound but the
-	// stalled subtree may not have been searched exhaustively.
-	Stalled
-	// Recovered: a worker panicked (or the block's graph could not be
+	// Recovered: a search panicked (or the block's graph could not be
 	// built); the block contributes whatever the lower rungs salvaged,
 	// other blocks are unaffected.
 	Recovered
@@ -70,8 +66,6 @@ func (s SearchStatus) String() string {
 		return "deadline-exceeded"
 	case Canceled:
 		return "canceled"
-	case Stalled:
-		return "stalled"
 	case Recovered:
 		return "recovered"
 	}
@@ -216,7 +210,7 @@ func guardRung(p *obs.Probe, tag string, bs *BlockStatus, fn func()) {
 			if bs.Err == nil {
 				bs.Err = panicErr(tag, r)
 			}
-			p.Panic(tag, panicMsg(r), 0)
+			p.Panic(tag, panicMsg(r))
 		}
 	}()
 	fn()
@@ -231,7 +225,7 @@ func guardRung(p *obs.Probe, tag string, bs *BlockStatus, fn func()) {
 // re-finalized so Status/Degraded/FirstPanic stay truthful.
 func guardDriver(p *obs.Probe, res *SelectionResult) {
 	if r := recover(); r != nil {
-		p.Panic("select-driver", panicMsg(r), 0)
+		p.Panic("select-driver", panicMsg(r))
 		res.Blocks = append(res.Blocks, BlockStatus{
 			Fn:     "(driver)",
 			Status: Recovered,
@@ -255,11 +249,11 @@ func legalCut(g *dfg.Graph, c dfg.Cut, nin, nout int) (ok bool) {
 // rescueWorthwhile reports whether the §9 windowed rescue should re-run
 // a block that ended with status s. Canceled is excluded: the caller
 // asked all work to stop, and the windowed pass is a real (if bounded)
-// search. Recovered and Stalled are included — the exact answer may be
-// missing or partial through no fault of the block.
+// search. Recovered is included — the exact answer may be missing or
+// partial through no fault of the block.
 func rescueWorthwhile(s SearchStatus) bool {
 	switch s {
-	case BudgetStopped, DeadlineExceeded, Stalled, Recovered:
+	case BudgetStopped, DeadlineExceeded, Recovered:
 		return true
 	}
 	return false
@@ -345,21 +339,21 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 	// Admission gate (Config.Pool): one slot per in-flight block search,
 	// acquired for exactly the duration of this search — the holder never
 	// blocks on the pool again (cfg.Pool is cleared), so gating cannot
-	// deadlock. A closed pool (0 slots granted) degrades to ungated.
+	// deadlock. A closed pool degrades to ungated.
 	if cfg.Pool != nil {
 		pool := cfg.Pool
 		cfg.Pool = nil
-		if n := pool.Acquire(1); n > 0 {
-			defer pool.Release(n)
+		if pool.Acquire() {
+			defer pool.Release()
 		}
 	}
 	start := time.Now()
 	bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, RacerMerit: -1}
 	tag := bs.Fn + "/" + bs.Block
 	// Every block search owns one causal span: the racer, the rescue
-	// rungs, the engine's worker rings and the sub-searches all inherit
-	// the sub-probe, so their events group under this search in the
-	// analyzer's span tree. One atomic add per block search.
+	// rungs and the sub-searches all inherit the sub-probe, so their
+	// events group under this search in the analyzer's span tree. One
+	// atomic add per block search.
 	cfg.Probe = cfg.Probe.Sub()
 	// The iterative racer (Config.ISEGen) starts together with the exact
 	// search and races rungs 0–1 on its own goroutine; nil when the block
@@ -385,19 +379,16 @@ func searchBlockSafe(ctx context.Context, g *dfg.Graph, cfg Config) (res Result,
 		res.Status = bs.Status
 	}()
 
-	// Rung 0: exact B&B (serial, engine or windowed per cfg).
+	// Rung 0: exact B&B (or the windowed heuristic when cfg.Window is set).
 	guardRung(cfg.Probe, tag, &bs, func() {
 		if h := cfg.Probe.HookOf(); h != nil {
 			h(bs.Fn, bs.Block)
 		}
-		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
+		cfg.Probe.SearchBegin(tag, g.NumOps())
 		runCfg := cfg
 		runCfg.race = rh // only rung 0 sees the racer's shared bound
 		res = FindBestCutCtx(ctx, g, runCfg)
 		bs.Status = res.Status
-		if bs.Err == nil {
-			bs.Err = res.Err
-		}
 	})
 
 	// Rung 1: §9 windowed rescue. Fallback and the rescue's stats are
@@ -498,8 +489,8 @@ func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 	if cfg.Pool != nil {
 		pool := cfg.Pool
 		cfg.Pool = nil
-		if n := pool.Acquire(1); n > 0 {
-			defer pool.Release(n)
+		if pool.Acquire() {
+			defer pool.Release()
 		}
 	}
 	start := time.Now()
@@ -531,14 +522,11 @@ func searchBlockMultiSafe(ctx context.Context, g *dfg.Graph, m int, cfg Config) 
 		if h := cfg.Probe.HookOf(); h != nil {
 			h(bs.Fn, bs.Block)
 		}
-		cfg.Probe.SearchBegin(tag, g.NumOps(), cfg.Workers)
+		cfg.Probe.SearchBegin(tag, g.NumOps())
 		runCfg := cfg
 		runCfg.race = rh
 		res = FindBestCutsCtx(ctx, g, m, runCfg)
 		bs.Status = res.Status
-		if bs.Err == nil {
-			bs.Err = res.Err
-		}
 	})
 
 	if rescueWorthwhile(bs.Status) && cfg.Window == 0 && g.NumOps() > fallbackWindow {

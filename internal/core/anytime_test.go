@@ -12,7 +12,7 @@ import (
 )
 
 func TestSearchStatusOrderAndString(t *testing.T) {
-	order := []SearchStatus{Exhaustive, BudgetStopped, DeadlineExceeded, Canceled, Stalled, Recovered}
+	order := []SearchStatus{Exhaustive, BudgetStopped, DeadlineExceeded, Canceled, Recovered}
 	for i := 1; i < len(order); i++ {
 		if worse(order[i-1], order[i]) != order[i] || worse(order[i], order[i-1]) != order[i] {
 			t.Errorf("worse(%v, %v) must pick the later status", order[i-1], order[i])

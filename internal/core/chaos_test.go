@@ -8,11 +8,14 @@ package core
 //   - soundness: a returned cut is Legal with positive merit, never
 //     better than the fault-free optimum;
 //   - truthfulness: Status == Exhaustive implies the result is
-//     bit-identical to the fault-free serial reference, and a schedule
+//     bit-identical to the fault-free reference, and a schedule
 //     that never fired implies Exhaustive;
 //   - completeness: when the greedy last resort can find a cut, the
 //     ladder never comes back empty-handed;
-//   - hygiene: the scheduler's cpuPool never leaks tokens.
+//   - hygiene: the scheduler's CPUPool never leaks slots.
+//
+// Block-level suites run the serial ladder; the selection-level suites
+// run the serial, Parallel and Speculate drivers.
 //
 // Every schedule derives from a seed. Override the seed list with
 // ISEX_CHAOS_SEED=<n> to replay one schedule; set
@@ -26,6 +29,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,17 +39,6 @@ import (
 	"isex/internal/faultinject"
 	"isex/internal/obs"
 )
-
-// chaosStallWindow arms the engine watchdog far above RandomPlan's
-// largest injected delay (2ms) AND above any plausible scheduling
-// starvation on a loaded CI runner (the watchdog cannot tell a wedged
-// worker from one the OS descheduled, and a spurious Stalled would
-// break the zero-faults-fired ⟹ Exhaustive invariant below). The
-// watchdog's actual firing path is covered by TestChaosStallRequeue,
-// which wedges a worker on purpose.
-const chaosStallWindow = time.Second
-
-var chaosWorkerCounts = []int{0, 1, 4, 8}
 
 // chaosSeeds returns the seed list, honouring the ISEX_CHAOS_SEED
 // replay override.
@@ -149,7 +142,7 @@ func checkChaosSingle(t *testing.T, label string, g *dfg.Graph, cfg Config,
 }
 
 // TestChaosSingleSearch runs the single-cut ladder under randomized but
-// seeded schedules across the full worker matrix.
+// seeded schedules.
 func TestChaosSingleSearch(t *testing.T) {
 	for _, seed := range chaosSeeds(t, 1, 2, 3, 4, 5, 6) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -161,19 +154,15 @@ func TestChaosSingleSearch(t *testing.T) {
 				t.Fatalf("reference search not exhaustive: %v", ref.Status)
 			}
 			_, _, _, greedyFinds := greedyRescue(g, base)
-			for _, nw := range chaosWorkerCounts {
-				plan := faultinject.RandomPlan(seed*31+int64(nw), 6)
-				chaosArtifact(t, seed*31+int64(nw), plan)
-				inj := faultinject.New(plan...)
-				ctx, cancel := inj.Context(context.Background())
-				cfg := base
-				cfg.Workers = nw
-				cfg.Probe = chaosProbe(inj)
-				cfg.StallWindow = chaosStallWindow
-				res, bs := searchBlockSafe(ctx, g, cfg)
-				cancel()
-				checkChaosSingle(t, fmt.Sprintf("workers=%d", nw), g, cfg, ref, res, bs, inj, greedyFinds)
-			}
+			plan := faultinject.RandomPlan(seed*31, 6)
+			chaosArtifact(t, seed*31, plan)
+			inj := faultinject.New(plan...)
+			ctx, cancel := inj.Context(context.Background())
+			defer cancel()
+			cfg := base
+			cfg.Probe = chaosProbe(inj)
+			res, bs := searchBlockSafe(ctx, g, cfg)
+			checkChaosSingle(t, "serial", g, cfg, ref, res, bs, inj, greedyFinds)
 		})
 	}
 }
@@ -190,45 +179,40 @@ func TestChaosMultiSearch(t *testing.T) {
 			if ref.Status != Exhaustive {
 				t.Fatalf("reference search not exhaustive: %v", ref.Status)
 			}
-			for _, nw := range chaosWorkerCounts {
-				plan := faultinject.RandomPlan(seed*37+int64(nw), 6)
-				chaosArtifact(t, seed*37+int64(nw), plan)
-				inj := faultinject.New(plan...)
-				ctx, cancel := inj.Context(context.Background())
-				cfg := base
-				cfg.Workers = nw
-				cfg.Probe = chaosProbe(inj)
-				cfg.StallWindow = chaosStallWindow
-				res, bs := searchBlockMultiSafe(ctx, g, 2, cfg)
-				cancel()
-				label := fmt.Sprintf("workers=%d", nw)
-				if res.Status != bs.Status {
-					t.Errorf("%s: MultiResult.Status %v != BlockStatus.Status %v", label, res.Status, bs.Status)
-				}
-				if res.Found {
-					var sum int64
-					for i, c := range res.Cuts {
-						if len(c) == 0 || !g.Legal(c, cfg.Nin, cfg.Nout) {
-							t.Errorf("%s: cut %d (%v) is not legal", label, i, c)
-						}
-						sum += res.Ests[i].Merit
+			plan := faultinject.RandomPlan(seed*37, 6)
+			chaosArtifact(t, seed*37, plan)
+			inj := faultinject.New(plan...)
+			ctx, cancel := inj.Context(context.Background())
+			defer cancel()
+			cfg := base
+			cfg.Probe = chaosProbe(inj)
+			res, bs := searchBlockMultiSafe(ctx, g, 2, cfg)
+			if res.Status != bs.Status {
+				t.Errorf("MultiResult.Status %v != BlockStatus.Status %v", res.Status, bs.Status)
+			}
+			if res.Found {
+				var sum int64
+				for i, c := range res.Cuts {
+					if len(c) == 0 || !g.Legal(c, cfg.Nin, cfg.Nout) {
+						t.Errorf("cut %d (%v) is not legal", i, c)
 					}
-					if sum != res.TotalMerit || res.TotalMerit <= 0 {
-						t.Errorf("%s: merit accounting broken: cuts sum %d, TotalMerit %d", label, sum, res.TotalMerit)
-					}
-					if res.TotalMerit > ref.TotalMerit {
-						t.Errorf("%s: total merit %d beats the fault-free optimum %d — unsound",
-							label, res.TotalMerit, ref.TotalMerit)
-					}
+					sum += res.Ests[i].Merit
 				}
-				if res.Status == Exhaustive &&
-					(res.Found != ref.Found || res.TotalMerit != ref.TotalMerit) {
-					t.Errorf("%s: claims Exhaustive but diverges from reference: %d vs %d",
-						label, res.TotalMerit, ref.TotalMerit)
+				if sum != res.TotalMerit || res.TotalMerit <= 0 {
+					t.Errorf("merit accounting broken: cuts sum %d, TotalMerit %d", sum, res.TotalMerit)
 				}
-				if inj.FiredCount() == 0 && res.Status != Exhaustive {
-					t.Errorf("%s: no fault fired yet status = %v", label, res.Status)
+				if res.TotalMerit > ref.TotalMerit {
+					t.Errorf("total merit %d beats the fault-free optimum %d — unsound",
+						res.TotalMerit, ref.TotalMerit)
 				}
+			}
+			if res.Status == Exhaustive &&
+				(res.Found != ref.Found || res.TotalMerit != ref.TotalMerit) {
+				t.Errorf("claims Exhaustive but diverges from reference: %d vs %d",
+					res.TotalMerit, ref.TotalMerit)
+			}
+			if inj.FiredCount() == 0 && res.Status != Exhaustive {
+				t.Errorf("no fault fired yet status = %v", res.Status)
 			}
 		})
 	}
@@ -237,8 +221,9 @@ func TestChaosMultiSearch(t *testing.T) {
 // TestChaosSelection runs program-wide selection — serial, per-block
 // parallel, and the speculative scheduler — under seeded schedules: the
 // selection must return, report a truthful status, select only
-// positive-merit instructions, and never leak cpuPool tokens.
+// positive-merit instructions, and never leak CPUPool slots.
 func TestChaosSelection(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // room to speculate
 	m := compileAndProfile(t, threeKernels)
 	base := Config{Nin: 4, Nout: 2}
 	ref := SelectIterativeCtx(context.Background(), m, 4, base)
@@ -247,9 +232,9 @@ func TestChaosSelection(t *testing.T) {
 	}
 	variants := []Config{
 		{Nin: 4, Nout: 2},
-		{Nin: 4, Nout: 2, Parallel: true, Workers: 4},
-		{Nin: 4, Nout: 2, Speculate: true, Workers: 4},
-		{Nin: 4, Nout: 2, ISEGen: true, Parallel: true, Workers: 4},
+		{Nin: 4, Nout: 2, Parallel: true},
+		{Nin: 4, Nout: 2, Speculate: true},
+		{Nin: 4, Nout: 2, ISEGen: true, Parallel: true},
 	}
 	for _, seed := range chaosSeeds(t, 21, 22, 23) {
 		for vi, v := range variants {
@@ -261,7 +246,6 @@ func TestChaosSelection(t *testing.T) {
 				defer cancel()
 				cfg := v
 				cfg.Probe = chaosProbe(inj)
-				cfg.StallWindow = chaosStallWindow
 				res := SelectIterativeCtx(ctx, m, 4, cfg)
 				for _, sel := range res.Instructions {
 					if sel.Est.Merit <= 0 {
@@ -286,7 +270,7 @@ func TestChaosSelection(t *testing.T) {
 					}
 				}
 				if n := cfg.Probe.Met.PoolLeaks.Value(); n != 0 {
-					t.Errorf("cpuPool leaked %d tokens", n)
+					t.Errorf("CPUPool leaked %d slots", n)
 				}
 			})
 		}
@@ -311,25 +295,20 @@ func TestChaosPerSiteLadder(t *testing.T) {
 		t.Fatal("fixture graph has no greedy-findable cut; pick another seed")
 	}
 	for site := 0; site < obs.SiteCount; site++ {
-		for _, nw := range []int{0, 4} {
-			label := fmt.Sprintf("site=%s/workers=%d", obs.Site(site), nw)
-			rules := []faultinject.Rule{{Site: obs.Site(site), Action: faultinject.ActPanic, Nth: 1, Period: 1}}
-			inj := faultinject.New(rules...)
-			cfg := base
-			cfg.Workers = nw
-			cfg.Probe = chaosProbe(inj)
-			cfg.StallWindow = chaosStallWindow
-			res, bs := searchBlockSafe(context.Background(), g, cfg)
-			checkChaosSingle(t, label, g, cfg, ref, res, bs, inj, true)
-			// A fired panic must leave a trace: either the status degrades
-			// to Recovered, or — when the engine's bounded retry re-ran the
-			// subproblem to completion and the result stayed exact (already
-			// verified bit-identical above) — the recovered panic is still
-			// recorded in Result.Err.
-			if inj.FiredCount() > 0 && res.Status == Exhaustive && res.Err == nil {
-				t.Errorf("%s: %d injected panics left no trace (status %v, nil Err)",
-					label, inj.FiredCount(), res.Status)
-			}
+		label := fmt.Sprintf("site=%s", obs.Site(site))
+		rules := []faultinject.Rule{{Site: obs.Site(site), Action: faultinject.ActPanic, Nth: 1, Period: 1}}
+		inj := faultinject.New(rules...)
+		cfg := base
+		cfg.Probe = chaosProbe(inj)
+		res, bs := searchBlockSafe(context.Background(), g, cfg)
+		checkChaosSingle(t, label, g, cfg, ref, res, bs, inj, true)
+		// A fired panic must leave a trace: either the status degrades to
+		// Recovered, or — when it fired on the racer's goroutine and the
+		// exact search still completed (already verified bit-identical
+		// above) — the recovered panic is recorded in Result.Err.
+		if inj.FiredCount() > 0 && res.Status == Exhaustive && res.Err == nil {
+			t.Errorf("%s: %d injected panics left no trace (status %v, nil Err)",
+				label, inj.FiredCount(), res.Status)
 		}
 	}
 }
@@ -339,8 +318,9 @@ func TestChaosPerSiteLadder(t *testing.T) {
 // launch/adopt/discard, winner collapse), where no per-block guard is on
 // the stack: the public entry points' driver guard must convert them
 // into a Recovered selection instead of crashing the process, and the
-// cpuPool must come back intact.
+// CPUPool must come back intact.
 func TestChaosDriverSites(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // room to speculate
 	m := compileAndProfile(t, threeKernels)
 	base := Config{Nin: 4, Nout: 2}
 	sites := []obs.Site{obs.SiteSpecLaunch, obs.SiteSpecAdopt, obs.SiteSpecDiscard, obs.SiteCollapse}
@@ -350,10 +330,7 @@ func TestChaosDriverSites(t *testing.T) {
 			inj := faultinject.New(faultinject.Rule{Site: site, Action: faultinject.ActPanic, Nth: 1, Period: 1})
 			cfg := base
 			cfg.Probe = chaosProbe(inj)
-			if speculate {
-				cfg.Speculate = true
-				cfg.Workers = 4
-			}
+			cfg.Speculate = speculate
 			res := SelectIterativeCtx(context.Background(), m, 4, cfg)
 			if inj.FiredCount() > 0 && res.Status != Recovered {
 				t.Errorf("%s: %d injected panics but status is %v, not Recovered",
@@ -368,7 +345,7 @@ func TestChaosDriverSites(t *testing.T) {
 				}
 			}
 			if n := cfg.Probe.Met.PoolLeaks.Value(); n != 0 {
-				t.Errorf("%s: cpuPool leaked %d tokens", label, n)
+				t.Errorf("%s: CPUPool leaked %d slots", label, n)
 			}
 		}
 	}
@@ -388,60 +365,21 @@ func TestChaosZeroFaultBitIdentical(t *testing.T) {
 			Site: obs.Site(site), Action: faultinject.ActPanic, Nth: 1 << 40,
 		})
 	}
-	for _, nw := range chaosWorkerCounts {
-		inj := faultinject.New(rules...)
-		ctx, cancel := inj.Context(context.Background())
-		cfg := base
-		cfg.Workers = nw
-		cfg.Probe = chaosProbe(inj)
-		cfg.StallWindow = chaosStallWindow
-		res, bs := searchBlockSafe(ctx, g, cfg)
-		cancel()
-		if fired := inj.FiredCount(); fired != 0 {
-			t.Fatalf("workers=%d: %d rules fired; schedule was meant to be inert", nw, fired)
-		}
-		if res.Status != Exhaustive || bs.Rung != RungExact {
-			t.Errorf("workers=%d: status %v rung %v under a zero-fault schedule", nw, res.Status, bs.Rung)
-		}
-		if res.Found != ref.Found || res.Est.Merit != ref.Est.Merit || !res.Cut.Equal(ref.Cut) {
-			t.Errorf("workers=%d: result diverges from the uninstrumented run: %v/%d vs %v/%d",
-				nw, res.Cut, res.Est.Merit, ref.Cut, ref.Est.Merit)
-		}
-	}
-}
-
-// TestChaosStallRequeue wedges one worker with an injected 200ms delay
-// while the watchdog window is 25ms: the watchdog must flag the stall,
-// the wedged subproblem must be requeued whole, and the search must
-// still deliver the serial optimum — just honestly labelled Stalled.
-func TestChaosStallRequeue(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := randomGraph(t, rng, 20)
-	base := Config{Nin: 4, Nout: 2}
-	ref := FindBestCut(g, base)
-	if ref.Status != Exhaustive || !ref.Found {
-		t.Fatalf("reference: status %v found %v — fixture graph unusable", ref.Status, ref.Found)
-	}
-	inj := faultinject.New(faultinject.Rule{
-		Site: obs.SitePrune, Action: faultinject.ActDelay, Nth: 1, Delay: 200 * time.Millisecond,
-	})
+	inj := faultinject.New(rules...)
+	ctx, cancel := inj.Context(context.Background())
+	defer cancel()
 	cfg := base
-	cfg.Workers = 4
 	cfg.Probe = chaosProbe(inj)
-	cfg.StallWindow = 25 * time.Millisecond
-	res := FindBestCut(g, cfg)
-	if inj.FiredCount() == 0 {
-		t.Fatal("delay rule never fired; SitePrune unreachable on this graph")
+	res, bs := searchBlockSafe(ctx, g, cfg)
+	if fired := inj.FiredCount(); fired != 0 {
+		t.Fatalf("%d rules fired; schedule was meant to be inert", fired)
 	}
-	if res.Status != Stalled {
-		t.Fatalf("status = %v, want Stalled", res.Status)
+	if res.Status != Exhaustive || bs.Rung != RungExact {
+		t.Errorf("status %v rung %v under a zero-fault schedule", res.Status, bs.Rung)
 	}
 	if res.Found != ref.Found || res.Est.Merit != ref.Est.Merit || !res.Cut.Equal(ref.Cut) {
-		t.Errorf("requeued search lost work: %v/%d vs serial %v/%d",
+		t.Errorf("result diverges from the uninstrumented run: %v/%d vs %v/%d",
 			res.Cut, res.Est.Merit, ref.Cut, ref.Est.Merit)
-	}
-	if n := cfg.Probe.Met.Stalls.Value(); n < 1 {
-		t.Errorf("Stalls metric = %d, want >= 1", n)
 	}
 }
 
@@ -451,15 +389,20 @@ func TestChaosStallRequeue(t *testing.T) {
 // path must report zero.
 func TestChaosPoolLeakDetection(t *testing.T) {
 	p := NewCPUPool(4)
-	if got := p.Acquire(2); got != 2 {
-		t.Fatalf("acquire(2) = %d", got)
+	for i := 0; i < 2; i++ {
+		if !p.Acquire() {
+			t.Fatalf("acquire %d refused by an open pool", i)
+		}
 	}
-	p.Release(2)
+	p.Release()
+	p.Release()
 	if n := p.Leaked(); n != 0 {
-		t.Fatalf("balanced pool reports %d leaked tokens", n)
+		t.Fatalf("balanced pool reports %d leaked slots", n)
 	}
-	if got := p.Acquire(3); got != 3 {
-		t.Fatalf("acquire(3) = %d", got)
+	for i := 0; i < 3; i++ {
+		if !p.Acquire() {
+			t.Fatalf("acquire %d refused by an open pool", i)
+		}
 	}
 	// Simulate a panic path that lost its deferred release.
 	p.Close()
@@ -469,16 +412,18 @@ func TestChaosPoolLeakDetection(t *testing.T) {
 }
 
 // TestChaosSchedulerPanicNoLeak hammers the speculative scheduler with
-// panics at its task-level sites and checks every cpuPool token comes
-// back: the release defers must survive any injected unwind.
+// panics at its task-level sites and checks every CPUPool slot comes
+// back: the release defers must survive any injected unwind. Four pool
+// slots (GOMAXPROCS) leave room for speculative tasks on any machine.
 func TestChaosSchedulerPanicNoLeak(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	m := compileAndProfile(t, threeKernels)
 	for _, site := range []obs.Site{obs.SiteSearchBegin, obs.SitePoll, obs.SiteSpecLaunch} {
 		inj := faultinject.New(faultinject.Rule{Site: site, Action: faultinject.ActPanic, Nth: 2, Period: 3})
-		cfg := Config{Nin: 4, Nout: 2, Speculate: true, Workers: 4, Probe: chaosProbe(inj)}
+		cfg := Config{Nin: 4, Nout: 2, Speculate: true, Probe: chaosProbe(inj)}
 		res := SelectIterativeCtx(context.Background(), m, 4, cfg)
 		if n := cfg.Probe.Met.PoolLeaks.Value(); n != 0 {
-			t.Errorf("site=%s: cpuPool leaked %d tokens (status %v, %d faults fired)",
+			t.Errorf("site=%s: CPUPool leaked %d slots (status %v, %d faults fired)",
 				site, n, res.Status, inj.FiredCount())
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -86,16 +87,12 @@ func assertDedupEquivalent(t *testing.T, label string, want, got SelectionResult
 }
 
 // TestDedupSelectionEquality is the dedup acceptance sweep: for both
-// drivers, with and without the speculative scheduler, across worker
-// counts, -dedup selections equal the -dedup=false reference.
+// drivers, with and without the Parallel driver and the speculative
+// scheduler, -dedup selections equal the -dedup=false reference.
 func TestDedupSelectionEquality(t *testing.T) {
 	sources := []struct{ name, src string }{
 		{"three", threeKernels},
 		{"twin", twinKernels},
-	}
-	workerCounts := []int{0, 1, 4, 8}
-	if testing.Short() {
-		workerCounts = []int{0, 4}
 	}
 	for _, src := range sources {
 		m := compileAndProfile(t, src.src)
@@ -110,10 +107,13 @@ func TestDedupSelectionEquality(t *testing.T) {
 			if ref.DedupHits != 0 || ref.SharedInstructions != nil {
 				t.Fatalf("%s/%s: dedup-off reference reported dedup work", src.name, method)
 			}
-			for _, nw := range workerCounts {
+			for _, parallel := range []bool{false, true} {
 				for _, spec := range []bool{false, true} {
-					cfg := Config{Nin: 2, Nout: 1, Dedup: true, Workers: nw, Speculate: spec}
+					cfg := Config{Nin: 2, Nout: 1, Dedup: true, Parallel: parallel, Speculate: spec}
 					label := src.name + "/" + method
+					if parallel {
+						label += "/parallel"
+					}
 					if spec {
 						label += "/speculate"
 					}
@@ -175,7 +175,7 @@ func (s siteSleeper) Fire(site obs.Site, _ string) {
 }
 
 // TestSpecMultiInsertRace is the regression test for the specMulti
-// lock-drop race: specMulti checks the task table and acquires its token
+// lock-drop race: specMulti checks the task table and acquires its slot
 // under one critical section, then (the probe must fire token-first)
 // re-locks to insert. A concurrent demandMulti for the same key can
 // publish its task in the window; the speculative insertion must then
@@ -183,8 +183,10 @@ func (s siteSleeper) Fire(site obs.Site, _ string) {
 // pointer (reg != dt below) and leaks duplicate work. The sleeper on
 // SiteSpecLaunch lands the demand insertion inside the window virtually
 // every iteration, so the pre-fix scheduler fails this test under -race
-// within a handful of iterations.
+// within a handful of iterations. Two pool slots (GOMAXPROCS) let the
+// speculative and the demand task hold one each.
 func TestSpecMultiInsertRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	m := compileAndProfile(t, threeKernels)
 	bgs, failed := allBlockGraphs(m)
 	if len(failed) > 0 {
@@ -197,7 +199,7 @@ func TestSpecMultiInsertRace(t *testing.T) {
 			g = bg.g
 		}
 	}
-	cfg := Config{Nin: 2, Nout: 1, Workers: 2,
+	cfg := Config{Nin: 2, Nout: 1,
 		Probe: &obs.Probe{Inj: siteSleeper{site: obs.SiteSpecLaunch, d: 200 * time.Microsecond}}}
 	iters := 200
 	if testing.Short() {
@@ -212,11 +214,11 @@ func TestSpecMultiInsertRace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			sc.specMulti(g, fp, 1, cfg)
+			sc.specMulti(g, fp, 1, cfg, 0)
 		}()
 		go func() {
 			defer wg.Done()
-			dt = sc.demandMulti(g, fp, 1, cfg, 1)
+			dt = sc.demandMulti(g, fp, 1, cfg)
 		}()
 		wg.Wait()
 		sc.mu.Lock()
@@ -228,7 +230,7 @@ func TestSpecMultiInsertRace(t *testing.T) {
 		<-dt.done
 		sc.shutdown()
 		if n := sc.pool.Leaked(); n > 0 {
-			t.Fatalf("iteration %d: cpu pool leaked %d token(s)", it, n)
+			t.Fatalf("iteration %d: cpu pool leaked %d slot(s)", it, n)
 		}
 	}
 }
@@ -261,9 +263,9 @@ func TestSchedulerMemoCollisionGuard(t *testing.T) {
 	defer sc.shutdown()
 
 	fp := uint64(42) // artificial colliding key
-	ta := sc.demandMulti(ga, fp, 1, cfg, 1)
+	ta := sc.demandMulti(ga, fp, 1, cfg)
 	<-ta.done
-	tb := sc.demandMulti(gb, fp, 1, cfg, 1)
+	tb := sc.demandMulti(gb, fp, 1, cfg)
 	<-tb.done
 	if ta == tb {
 		t.Fatal("colliding key adopted a task for a different graph")
@@ -282,9 +284,9 @@ func TestSchedulerMemoCollisionGuard(t *testing.T) {
 		t.Fatalf("sched_memo_collisions_total = %d, want 1", n)
 	}
 
-	ts := sc.demandSingle(ga, 7, cfg, 1)
+	ts := sc.demandSingle(ga, 7, cfg)
 	<-ts.done
-	ts2 := sc.demandSingle(gb, 7, cfg, 1)
+	ts2 := sc.demandSingle(gb, 7, cfg)
 	<-ts2.done
 	if ts == ts2 {
 		t.Fatal("single-cut colliding key adopted a task for a different graph")
@@ -298,6 +300,6 @@ func TestSchedulerMemoCollisionGuard(t *testing.T) {
 	}
 	sc.shutdown()
 	if n := sc.pool.Leaked(); n > 0 {
-		t.Fatalf("cpu pool leaked %d token(s)", n)
+		t.Fatalf("cpu pool leaked %d slot(s)", n)
 	}
 }

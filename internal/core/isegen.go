@@ -19,7 +19,7 @@ import (
 //
 // The racer runs as one extra goroutine per block search, on its own
 // full Restrict view of the block graph (shared immutable kernel tables,
-// private scratch — the same isolation contract the engine workers use).
+// private scratch), so it never shares mutable state with the exact search.
 // Every candidate flip is scored with dfg.Toggle's incremental IN/OUT/
 // convexity deltas — O(deg + V/64) word operations, no full Legal
 // recomputation — and only port-feasible, convex states are evaluated
@@ -28,10 +28,9 @@ import (
 // achievable and therefore a sound lower bound of the optimum:
 //
 //   - The exact search folds the racer's CAS-max bound into its
-//     PruneMerit shared-bound cache at poll cadence (searcher.poll).
-//     Pruning is strictly `ub < bound`, and recording thresholds are
-//     never touched, so — exactly as with the PR 3 shared incumbent
-//     bound — a terminating exact search returns the bit-identical
+//     PruneMerit cutoff at poll cadence (searcher.pollRacer). Pruning
+//     is strictly `ub < bound`, and recording thresholds are never
+//     touched, so a terminating exact search returns the bit-identical
 //     DFS-first optimum; only Stats can shrink.
 //   - The anytime ladder adopts the racer's best answer only when the
 //     exact search did NOT terminate (RungIterative, between the
@@ -47,9 +46,9 @@ import (
 // feasible state seen anywhere in the pass is kept.
 
 // racerHandle connects one block search to its racer goroutine. It is
-// carried package-internally on Config (Config.race) so the serial
-// searcher, the engine workers (workerConfig preserves it) and the
-// warm-start path all see the same bound without new plumbing.
+// carried package-internally on Config (Config.race) so the exact
+// searchers and the warm-start path see the same bound without new
+// plumbing.
 type racerHandle struct {
 	tag string
 
@@ -251,7 +250,7 @@ func runRacer(ctx context.Context, g *dfg.Graph, cfg Config, rh *racerHandle) {
 	defer func() {
 		if r := recover(); r != nil {
 			rh.fail(panicErr(rh.tag+" (racer)", r))
-			cfg.Probe.Panic(rh.tag+" (racer)", panicMsg(r), 0)
+			cfg.Probe.Panic(rh.tag+" (racer)", panicMsg(r))
 		}
 	}()
 
@@ -343,14 +342,14 @@ func runRacer(ctx context.Context, g *dfg.Graph, cfg Config, rh *racerHandle) {
 
 // klEngine is the per-racer Kernighan–Lin state over one graph view.
 type klEngine struct {
-	g     *dfg.Graph
-	cfg   Config
-	model *latency.Model
-	tog   *dfg.Toggle
+	g      *dfg.Graph
+	cfg    Config
+	model  *latency.Model
+	tog    *dfg.Toggle
 	cand   []int   // flippable node IDs, in search (OpOrder) order
 	isCand []bool  // candidate membership, indexed by node ID
 	sw     []int64 // per-node software latency, indexed by node ID
-	freq  int64
+	freq   int64
 	// penalty converts one unit of port violation into score units large
 	// enough that reducing a violation always beats any latency gain.
 	penalty int64

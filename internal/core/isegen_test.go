@@ -17,38 +17,35 @@ import (
 //     Evaluate merit equals the published merit — an achievable lower
 //     bound of the optimum, never above it.
 //  2. Determinism: on blocks where the exact search terminates, results
-//     are bit-identical with the racer on or off, at every worker
-//     count, with and without the merit bound, speculation and dedup.
+//     are bit-identical with the racer on or off, with and without the
+//     merit bound, the Parallel driver, speculation and dedup.
 
-// TestISEGenTerminatingBitIdentical sweeps worker counts × pruning with
-// ISEGen on and off: wherever the exact search runs to completion, the
-// racer must change nothing — same cut, same merit, same status, same
-// rung.
+// TestISEGenTerminatingBitIdentical sweeps pruning with ISEGen on and
+// off: wherever the exact search runs to completion, the racer must
+// change nothing — same cut, same merit, same status, same rung.
 func TestISEGenTerminatingBitIdentical(t *testing.T) {
 	for _, seed := range []int64{3, 5, 9} {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(t, rng, 16+rng.Intn(6))
-		for _, nw := range []int{0, 1, 4, 8} {
-			for _, pruned := range []bool{false, true} {
-				label := fmt.Sprintf("seed=%d/workers=%d/pruned=%v", seed, nw, pruned)
-				cfg := Config{Nin: 4, Nout: 2, Workers: nw, PruneMerit: pruned}
-				off, obsOff := searchBlockSafe(context.Background(), g, cfg)
-				if off.Status != Exhaustive {
-					t.Fatalf("%s: racer-off reference did not terminate: %v", label, off.Status)
-				}
-				cfg.ISEGen = true
-				on, obsOn := searchBlockSafe(context.Background(), g, cfg)
-				if on.Status != Exhaustive {
-					t.Errorf("%s: racer-on search did not terminate: %v", label, on.Status)
-				}
-				if on.Found != off.Found || on.Est.Merit != off.Est.Merit || !on.Cut.Equal(off.Cut) {
-					t.Errorf("%s: racer-on diverged from racer-off: %v/%d vs %v/%d",
-						label, on.Cut, on.Est.Merit, off.Cut, off.Est.Merit)
-				}
-				if obsOn.Rung != RungExact || obsOn.Rung != obsOff.Rung {
-					t.Errorf("%s: rung %v with racer on, %v without — terminating blocks must stay exact",
-						label, obsOn.Rung, obsOff.Rung)
-				}
+		for _, pruned := range []bool{false, true} {
+			label := fmt.Sprintf("seed=%d/pruned=%v", seed, pruned)
+			cfg := Config{Nin: 4, Nout: 2, PruneMerit: pruned}
+			off, obsOff := searchBlockSafe(context.Background(), g, cfg)
+			if off.Status != Exhaustive {
+				t.Fatalf("%s: racer-off reference did not terminate: %v", label, off.Status)
+			}
+			cfg.ISEGen = true
+			on, obsOn := searchBlockSafe(context.Background(), g, cfg)
+			if on.Status != Exhaustive {
+				t.Errorf("%s: racer-on search did not terminate: %v", label, on.Status)
+			}
+			if on.Found != off.Found || on.Est.Merit != off.Est.Merit || !on.Cut.Equal(off.Cut) {
+				t.Errorf("%s: racer-on diverged from racer-off: %v/%d vs %v/%d",
+					label, on.Cut, on.Est.Merit, off.Cut, off.Est.Merit)
+			}
+			if obsOn.Rung != RungExact || obsOn.Rung != obsOff.Rung {
+				t.Errorf("%s: rung %v with racer on, %v without — terminating blocks must stay exact",
+					label, obsOn.Rung, obsOff.Rung)
 			}
 		}
 	}
@@ -154,7 +151,7 @@ func TestISEGenGapOnTerminating(t *testing.T) {
 }
 
 // TestISEGenSelectionIdentical runs the full iterative selection with
-// the racer on across the worker/speculation/dedup matrix: terminating
+// the racer on across the parallel/speculation/dedup matrix: terminating
 // selections must be bit-identical to the racer-off serial reference.
 func TestISEGenSelectionIdentical(t *testing.T) {
 	mod := compileAndProfile(t, threeKernels)
@@ -163,16 +160,13 @@ func TestISEGenSelectionIdentical(t *testing.T) {
 	if ref.Status != Exhaustive {
 		t.Fatalf("reference selection not exhaustive: %v", ref.Status)
 	}
-	for _, nw := range []int{0, 1, 4, 8} {
+	for _, parallel := range []bool{false, true} {
 		for _, spec := range []bool{false, true} {
 			for _, dedup := range []bool{false, true} {
-				if spec && nw == 0 {
-					continue
-				}
-				label := fmt.Sprintf("workers=%d/speculate=%v/dedup=%v", nw, spec, dedup)
+				label := fmt.Sprintf("parallel=%v/speculate=%v/dedup=%v", parallel, spec, dedup)
 				cfg := base
 				cfg.ISEGen = true
-				cfg.Workers = nw
+				cfg.Parallel = parallel
 				cfg.Speculate = spec
 				cfg.Dedup = dedup
 				got := SelectIterativeCtx(context.Background(), mod, 4, cfg)
@@ -233,23 +227,20 @@ func TestISEGenRacerProbes(t *testing.T) {
 func TestISEGenMultiTerminatingBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := randomGraph(t, rng, 14)
-	for _, nw := range []int{0, 4} {
-		label := fmt.Sprintf("workers=%d", nw)
-		cfg := Config{Nin: 3, Nout: 2, Workers: nw, PruneMerit: true}
-		off, _ := searchBlockMultiSafe(context.Background(), g, 2, cfg)
-		if off.Status != Exhaustive {
-			t.Fatalf("%s: racer-off reference did not terminate: %v", label, off.Status)
-		}
-		cfg.ISEGen = true
-		on, obsOn := searchBlockMultiSafe(context.Background(), g, 2, cfg)
-		if on.Status != Exhaustive {
-			t.Errorf("%s: racer-on search did not terminate: %v", label, on.Status)
-		}
-		if on.Found != off.Found || on.TotalMerit != off.TotalMerit {
-			t.Errorf("%s: racer-on multi diverged: merit %d vs %d", label, on.TotalMerit, off.TotalMerit)
-		}
-		if obsOn.Rung != RungExact {
-			t.Errorf("%s: rung %v on a terminating block", label, obsOn.Rung)
-		}
+	cfg := Config{Nin: 3, Nout: 2, PruneMerit: true}
+	off, _ := searchBlockMultiSafe(context.Background(), g, 2, cfg)
+	if off.Status != Exhaustive {
+		t.Fatalf("racer-off reference did not terminate: %v", off.Status)
+	}
+	cfg.ISEGen = true
+	on, obsOn := searchBlockMultiSafe(context.Background(), g, 2, cfg)
+	if on.Status != Exhaustive {
+		t.Errorf("racer-on search did not terminate: %v", on.Status)
+	}
+	if on.Found != off.Found || on.TotalMerit != off.TotalMerit {
+		t.Errorf("racer-on multi diverged: merit %d vs %d", on.TotalMerit, off.TotalMerit)
+	}
+	if obsOn.Rung != RungExact {
+		t.Errorf("rung %v on a terminating block", obsOn.Rung)
 	}
 }

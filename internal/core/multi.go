@@ -22,8 +22,8 @@ type MultiResult struct {
 	// Status reports how the search ended; anything but Exhaustive means
 	// the assignment is a best-so-far lower bound, not a proven optimum.
 	Status SearchStatus
-	// Err carries the first panic recovered inside the parallel engine;
-	// see Result.Err.
+	// Err carries the first panic recovered inside the block's iterative
+	// racer; see Result.Err.
 	Err error
 }
 
@@ -48,9 +48,6 @@ func FindBestCuts(g *dfg.Graph, m int, cfg Config) MultiResult {
 func FindBestCutsCtx(ctx context.Context, g *dfg.Graph, m int, cfg Config) MultiResult {
 	if m < 1 {
 		return MultiResult{}
-	}
-	if cfg.Workers > 0 {
-		return findBestCutsParallel(ctx, g, m, cfg)
 	}
 	s := newMultiSearcher(g, m, cfg)
 	s.ctx = ctx
@@ -109,9 +106,8 @@ type multiSearcher struct {
 	// PruneMerit on the (M+1)-ary tree too.
 	futSW []int64
 
-	// bestFound/bestMerit form the recording threshold; bestCuts is nil
-	// when the threshold was seeded by the parallel engine from a
-	// sibling's result rather than recorded here (see seedThreshold).
+	// bestFound/bestMerit form the recording threshold; bestCuts is the
+	// incumbent assignment (a seed witness until the search records one).
 	bestFound bool
 	bestMerit int64
 	bestCuts  []dfg.Cut
@@ -126,41 +122,26 @@ type multiSearcher struct {
 	obs       *obs.SearchObs
 	boundCuts int64
 
-	// Engine attachment, as in searcher: nil for the serial search.
-	eng       *bbEngine
-	flushMark int64
-	wid       int
-	// sharedCache mirrors the engine's shared incumbent bound (refreshed
-	// in poll and on publish); MinInt64 when detached or not yet seen.
-	sharedCache int64
-
-	// Donation bookkeeping (engine runs only; see searcher for the
-	// scheme). path[r] is the cut label of the live frame at rank r, 0
-	// while in its 0-branch; the multi tree has no PruneInputs guard on
-	// the 0-branch, so no zeroOK is needed.
-	base    int
-	curRank int
-	path    []uint8
-	donated []bool
-
-	replayUndo []multiReplayStep
+	// racerBound and curRank: as in searcher.
+	racerBound int64
+	curRank    int
 }
 
 func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 	s := &multiSearcher{
-		g:           g,
-		cfg:         cfg,
-		model:       cfg.model(),
-		order:       g.OpOrder,
-		freq:        weight(g.Block.Freq),
-		m:           m,
-		assign:      make([]int, len(g.Nodes)),
-		inputs:      make([]int, m+1),
-		out:         make([]int, m+1),
-		sw:          make([]int64, m+1),
-		crit:        make([]float64, m+1),
-		sizes:       make([]int, m+1),
-		sharedCache: math.MinInt64,
+		g:          g,
+		cfg:        cfg,
+		model:      cfg.model(),
+		order:      g.OpOrder,
+		freq:       weight(g.Block.Freq),
+		m:          m,
+		assign:     make([]int, len(g.Nodes)),
+		inputs:     make([]int, m+1),
+		out:        make([]int, m+1),
+		sw:         make([]int64, m+1),
+		crit:       make([]float64, m+1),
+		sizes:      make([]int, m+1),
+		racerBound: math.MinInt64,
 	}
 	s.futSW = make([]int64, len(s.order)+1)
 	for r := len(s.order) - 1; r >= 0; r-- {
@@ -179,15 +160,6 @@ func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 		s.lenTo[k] = make([]float64, len(g.Nodes))
 	}
 	return s
-}
-
-// seedThreshold raises the recording threshold without providing an
-// assignment: subsequent records must strictly beat merit. Used by the
-// parallel engine to inherit the lineage's running best.
-func (s *multiSearcher) seedThreshold(merit int64) {
-	s.bestFound = true
-	s.bestMerit = merit
-	s.bestCuts = nil
 }
 
 // seedAssignment warm-starts the incumbent from a known-sound assignment
@@ -230,29 +202,11 @@ func (s *multiSearcher) observeStop() {
 	s.obs.Stop(int64(s.stop), s.stop == DeadlineExceeded, s.stop == BudgetStopped, s.stop == Canceled)
 }
 
-// poll checks the stop sources: the engine (shared budget and context)
-// when attached, the plain context otherwise. It runs at search entry
+// poll checks the context and refreshes the racer bound. It runs at
+// search entry
 // and every ctxCheckInterval visited nodes — on both branches, so a long
 // run of 0-branches or forbidden nodes cannot outlive a cancellation.
 func (s *multiSearcher) poll() {
-	if s.eng != nil {
-		if st := s.eng.pollSearch(s.wid, &s.stats, &s.flushMark); st != Exhaustive {
-			s.stop = st
-			s.observeStop()
-			return
-		}
-		if s.eng.sharedOn {
-			if v := s.eng.shared.Load(); v > s.sharedCache {
-				s.sharedCache = v
-			}
-		}
-		s.pollRacer()
-		if s.eng.needWork.Load() {
-			s.tryDonate()
-		}
-		s.flushObs()
-		return
-	}
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
 			s.stop = statusOfCtx(err)
@@ -265,7 +219,7 @@ func (s *multiSearcher) poll() {
 }
 
 // pollRacer folds the iterative racer's published single-cut merit into
-// the PruneMerit shared cache. Sound on the (M+1)-ary tree too: the
+// racerBound, the PruneMerit cutoff. Sound on the (M+1)-ary tree too: the
 // racer's cut alone is a feasible assignment (the other cuts stay
 // empty), so its revalidated merit is an achievable lower bound of the
 // optimal total merit, and the strict `ub < bound` cutoff can never
@@ -274,8 +228,8 @@ func (s *multiSearcher) pollRacer() {
 	if !s.cfg.PruneMerit || s.cfg.race == nil {
 		return
 	}
-	if v := s.cfg.race.boundLoad(); v > s.sharedCache {
-		s.sharedCache = v
+	if v := s.cfg.race.boundLoad(); v > s.racerBound {
+		s.racerBound = v
 	}
 }
 
@@ -322,7 +276,7 @@ func (s *multiSearcher) visit(rank int) {
 	}
 	if s.cfg.PruneMerit {
 		ub := s.totalMerit() + s.futSW[rank]*s.freq
-		if (s.bestFound && ub <= s.bestMerit) || ub < s.sharedCache {
+		if (s.bestFound && ub <= s.bestMerit) || ub < s.racerBound {
 			if s.obs != nil {
 				s.boundCuts++
 				s.obs.Bound(rank, s.bestMerit)
@@ -350,15 +304,6 @@ func (s *multiSearcher) visit(rank int) {
 	}
 
 	// 0-branch: update reach for every cut.
-	if s.eng != nil {
-		if s.donated[rank] {
-			// Handed to another worker by tryDonate while one of this
-			// frame's k-subtrees was being searched.
-			s.donated[rank] = false
-			return
-		}
-		s.path[rank] = 0
-	}
 	saved := s.applyExcludeReach(id)
 	s.visit(rank + 1)
 	s.undoExcludeReach(id, saved)
@@ -498,9 +443,6 @@ func (s *multiSearcher) tryInclude(rank, id, k int) {
 	if convOK && s.out[k] <= s.cfg.Nout {
 		s.stats.Passed++
 		s.maybeRecord()
-		if s.eng != nil {
-			s.path[rank] = uint8(k)
-		}
 		s.visit(rank + 1)
 	} else {
 		s.stats.Pruned++
@@ -513,7 +455,7 @@ func (s *multiSearcher) tryInclude(rank, id, k int) {
 
 // maybeRecord evaluates the current assignment as a candidate solution.
 // The strict comparison keeps the first assignment (in search order) of
-// each total-merit level, which makes the parallel merge reproducible.
+// each total-merit level, which keeps seeded runs identical to cold ones.
 func (s *multiSearcher) maybeRecord() {
 	// Every non-empty cut must satisfy the input constraint; empty cuts
 	// contribute nothing.
@@ -540,11 +482,6 @@ func (s *multiSearcher) maybeRecord() {
 	s.bestCuts = cuts
 	if s.obs != nil {
 		s.obs.Incumbent(total, s.stats.CutsConsidered, s.curRank)
-	}
-	if s.eng != nil && s.eng.sharedOn {
-		if v := s.eng.publish(total); v > s.sharedCache {
-			s.sharedCache = v
-		}
 	}
 }
 
@@ -597,44 +534,4 @@ func (s *multiSearcher) interCutCycle() bool {
 		}
 	}
 	return false
-}
-
-// multiReplayStep records one prefix decision for exact unwinding.
-type multiReplayStep struct {
-	id         int
-	k          int // 0 = exclude
-	u          assignUndo
-	savedReach []bool
-}
-
-// replay applies a decision prefix (decision r for rank r; 0 = exclude,
-// k = assign to cut k) onto a clean multiSearcher, rebuilding the exact
-// incremental state the serial search would have at that tree position.
-func (s *multiSearcher) replay(prefix []uint8) {
-	for r, d := range prefix {
-		id := s.order[r]
-		if s.path != nil {
-			s.path[r] = d // tryDonate rebuilds prefixes from path
-		}
-		step := multiReplayStep{id: id, k: int(d)}
-		if step.k > 0 {
-			step.u = s.applyAssign(id, &s.g.Nodes[id], step.k)
-		} else {
-			step.savedReach = s.applyExcludeReach(id)
-		}
-		s.replayUndo = append(s.replayUndo, step)
-	}
-}
-
-// unreplay unwinds a replay, restoring the clean state.
-func (s *multiSearcher) unreplay() {
-	for i := len(s.replayUndo) - 1; i >= 0; i-- {
-		st := s.replayUndo[i]
-		if st.k > 0 {
-			s.undoAssign(st.id, &s.g.Nodes[st.id], st.k, st.u)
-		} else {
-			s.undoExcludeReach(st.id, st.savedReach)
-		}
-	}
-	s.replayUndo = s.replayUndo[:0]
 }

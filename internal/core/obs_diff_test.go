@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // This file is the differential suite for the telemetry subsystem: every
-// search must return the bit-identical result — and, where the engine
+// search must return the bit-identical result — and, where the search
 // contract promises deterministic Stats, the bit-identical Stats — with
 // full tracing enabled as with the probe nil. Observation must never
 // change the search.
@@ -24,15 +25,11 @@ func fullProbe() *obs.Probe {
 	}
 }
 
-// diffWorkers are the engine sizes the differential suite sweeps; 0 is
-// the serial search.
-var diffWorkers = []int{0, 1, 4, 8}
-
 // diffConfig builds the search config for one sweep point. Pruned mirrors
 // the benches' pruned configuration (merit bound + permanent-input bound
 // + warm start).
-func diffConfig(workers int, pruned bool) Config {
-	cfg := Config{Nin: 6, Nout: 2, Workers: workers}
+func diffConfig(pruned bool) Config {
+	cfg := Config{Nin: 6, Nout: 2}
 	if pruned {
 		cfg.PruneMerit = true
 		cfg.PruneInputs = true
@@ -41,52 +38,42 @@ func diffConfig(workers int, pruned bool) Config {
 	return cfg
 }
 
-// statsComparable reports whether the engine contract promises exact
-// Stats equality for this sweep point: always for the serial search, and
-// for the parallel engine exactly when the merit bound is off (a shared
-// incumbent bound makes per-run visit counts timing-dependent).
-func statsComparable(workers int, pruned bool) bool {
-	return workers == 0 || !pruned
-}
-
 func TestObsDifferentialSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := randomGraph(t, rng, 30)
 	for _, pruned := range []bool{false, true} {
-		for _, w := range diffWorkers {
-			cfg := diffConfig(w, pruned)
-			base := FindBestCutCtx(context.Background(), g, cfg)
-			probe := fullProbe()
-			cfg.Probe = probe
-			traced := FindBestCutCtx(context.Background(), g, cfg)
+		cfg := diffConfig(pruned)
+		base := FindBestCutCtx(context.Background(), g, cfg)
+		probe := fullProbe()
+		cfg.Probe = probe
+		traced := FindBestCutCtx(context.Background(), g, cfg)
 
-			if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
-				base.Est != traced.Est || base.Status != traced.Status {
-				t.Errorf("workers=%d pruned=%v: traced result diverged:\n base=%+v\ntraced=%+v",
-					w, pruned, base, traced)
-			}
-			if statsComparable(w, pruned) && base.Stats != traced.Stats {
-				t.Errorf("workers=%d pruned=%v: traced Stats diverged: base=%+v traced=%+v",
-					w, pruned, base.Stats, traced.Stats)
-			}
-			// The probe must actually have observed the search — a silent
-			// no-op probe would make this whole suite vacuous. Exact
-			// registry parity holds only for the serial unpruned search
-			// (a warm pass flushes its own cuts into the registry without
-			// charging the result's Stats).
-			snap := probe.Met.Registry().Snapshot()
-			c, _ := snap["search_cuts_considered_total"].(int64)
-			if w == 0 && !pruned && c != base.Stats.CutsConsidered {
-				t.Errorf("workers=%d pruned=%v: registry saw %d considered cuts, Stats say %d",
-					w, pruned, c, base.Stats.CutsConsidered)
-			}
-			if c < traced.Stats.CutsConsidered {
-				t.Errorf("workers=%d pruned=%v: registry saw %d considered cuts, below Stats %d",
-					w, pruned, c, traced.Stats.CutsConsidered)
-			}
-			if len(probe.Rec.Merge()) == 0 {
-				t.Errorf("workers=%d pruned=%v: flight recorder captured no events", w, pruned)
-			}
+		if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
+			base.Est != traced.Est || base.Status != traced.Status {
+			t.Errorf("pruned=%v: traced result diverged:\n base=%+v\ntraced=%+v",
+				pruned, base, traced)
+		}
+		if base.Stats != traced.Stats {
+			t.Errorf("pruned=%v: traced Stats diverged: base=%+v traced=%+v",
+				pruned, base.Stats, traced.Stats)
+		}
+		// The probe must actually have observed the search — a silent
+		// no-op probe would make this whole suite vacuous. Exact registry
+		// parity holds only for the unpruned search (a warm pass flushes
+		// its own cuts into the registry without charging the result's
+		// Stats).
+		snap := probe.Met.Registry().Snapshot()
+		c, _ := snap["search_cuts_considered_total"].(int64)
+		if !pruned && c != base.Stats.CutsConsidered {
+			t.Errorf("pruned=%v: registry saw %d considered cuts, Stats say %d",
+				pruned, c, base.Stats.CutsConsidered)
+		}
+		if c < traced.Stats.CutsConsidered {
+			t.Errorf("pruned=%v: registry saw %d considered cuts, below Stats %d",
+				pruned, c, traced.Stats.CutsConsidered)
+		}
+		if len(probe.Rec.Merge()) == 0 {
+			t.Errorf("pruned=%v: flight recorder captured no events", pruned)
 		}
 	}
 }
@@ -97,59 +84,58 @@ func TestObsDifferentialMulti(t *testing.T) {
 	// sweep uses the graph size the exhaustive multi unit tests use.
 	g := randomGraph(t, rng, 16)
 	for _, pruned := range []bool{false, true} {
-		for _, w := range diffWorkers {
-			cfg := diffConfig(w, pruned)
-			cfg.Nin = 4
-			base := FindBestCutsCtx(context.Background(), g, 2, cfg)
-			cfg.Probe = fullProbe()
-			traced := FindBestCutsCtx(context.Background(), g, 2, cfg)
+		cfg := diffConfig(pruned)
+		cfg.Nin = 4
+		base := FindBestCutsCtx(context.Background(), g, 2, cfg)
+		cfg.Probe = fullProbe()
+		traced := FindBestCutsCtx(context.Background(), g, 2, cfg)
 
-			if base.Found != traced.Found || !reflect.DeepEqual(base.Cuts, traced.Cuts) ||
-				!reflect.DeepEqual(base.Ests, traced.Ests) ||
-				base.TotalMerit != traced.TotalMerit || base.Status != traced.Status {
-				t.Errorf("workers=%d pruned=%v: traced multi result diverged:\n base=%+v\ntraced=%+v",
-					w, pruned, base, traced)
-			}
-			if statsComparable(w, pruned) && base.Stats != traced.Stats {
-				t.Errorf("workers=%d pruned=%v: traced multi Stats diverged: base=%+v traced=%+v",
-					w, pruned, base.Stats, traced.Stats)
-			}
+		if base.Found != traced.Found || !reflect.DeepEqual(base.Cuts, traced.Cuts) ||
+			!reflect.DeepEqual(base.Ests, traced.Ests) ||
+			base.TotalMerit != traced.TotalMerit || base.Status != traced.Status {
+			t.Errorf("pruned=%v: traced multi result diverged:\n base=%+v\ntraced=%+v",
+				pruned, base, traced)
+		}
+		if base.Stats != traced.Stats {
+			t.Errorf("pruned=%v: traced multi Stats diverged: base=%+v traced=%+v",
+				pruned, base.Stats, traced.Stats)
 		}
 	}
 }
 
 // TestObsDifferentialSelection runs the full iterative selection — the
-// speculative scheduler included — with and without tracing and demands
-// identical selections, merits, per-block statuses and call accounting.
+// serial driver, and the Parallel driver with the speculative scheduler
+// — with and without tracing and demands identical selections, merits,
+// per-block statuses and call accounting.
 func TestObsDifferentialSelection(t *testing.T) {
 	mod := compileAndProfile(t, threeKernels)
 	for _, pruned := range []bool{false, true} {
-		for _, w := range diffWorkers {
-			cfg := diffConfig(w, pruned)
+		for _, concurrent := range []bool{false, true} {
+			label := fmt.Sprintf("pruned=%v concurrent=%v", pruned, concurrent)
+			cfg := diffConfig(pruned)
 			cfg.Nin, cfg.Nout = 4, 2
-			cfg.Parallel = w > 0
-			cfg.Speculate = w > 0
+			cfg.Parallel = concurrent
+			cfg.Speculate = concurrent
 			base := SelectIterativeCtx(context.Background(), mod, 4, cfg)
 			cfg.Probe = fullProbe()
 			traced := SelectIterativeCtx(context.Background(), mod, 4, cfg)
 
 			if !reflect.DeepEqual(base.Instructions, traced.Instructions) {
-				t.Errorf("workers=%d pruned=%v: traced selection chose different instructions",
-					w, pruned)
+				t.Errorf("%s: traced selection chose different instructions", label)
 			}
 			if base.TotalMerit != traced.TotalMerit || base.Status != traced.Status ||
 				base.IdentCalls != traced.IdentCalls {
-				t.Errorf("workers=%d pruned=%v: merit/status/calls diverged: base=(%d,%v,%d) traced=(%d,%v,%d)",
-					w, pruned, base.TotalMerit, base.Status, base.IdentCalls,
+				t.Errorf("%s: merit/status/calls diverged: base=(%d,%v,%d) traced=(%d,%v,%d)",
+					label, base.TotalMerit, base.Status, base.IdentCalls,
 					traced.TotalMerit, traced.Status, traced.IdentCalls)
 			}
 			if !reflect.DeepEqual(base.Blocks, traced.Blocks) {
-				t.Errorf("workers=%d pruned=%v: per-block statuses diverged:\n base=%+v\ntraced=%+v",
-					w, pruned, base.Blocks, traced.Blocks)
+				t.Errorf("%s: per-block statuses diverged:\n base=%+v\ntraced=%+v",
+					label, base.Blocks, traced.Blocks)
 			}
-			if statsComparable(w, pruned) && !cfg.Speculate && base.Stats != traced.Stats {
-				t.Errorf("workers=%d pruned=%v: selection Stats diverged: base=%+v traced=%+v",
-					w, pruned, base.Stats, traced.Stats)
+			if !cfg.Speculate && base.Stats != traced.Stats {
+				t.Errorf("%s: selection Stats diverged: base=%+v traced=%+v",
+					label, base.Stats, traced.Stats)
 			}
 		}
 	}
@@ -157,40 +143,36 @@ func TestObsDifferentialSelection(t *testing.T) {
 
 // TestObsDifferentialISEGen: with the iterative racer on, tracing must
 // still not change what a terminating block search returns. Stats are
-// not compared when PruneMerit is set, even serially — the racer's
-// bound arrives at timing-dependent polls, which (exactly like the
-// engine's shared incumbent bound) may change visit counts but never
-// the result. BlockStatus.RacerMerit is likewise timing-dependent and
+// not compared when PruneMerit is set — the racer's bound arrives at
+// timing-dependent polls, which may change visit counts but never the
+// result. BlockStatus.RacerMerit is likewise timing-dependent and
 // excluded.
 func TestObsDifferentialISEGen(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomGraph(t, rng, 22)
 	for _, pruned := range []bool{false, true} {
-		for _, w := range diffWorkers {
-			cfg := diffConfig(w, pruned)
-			cfg.ISEGen = true
-			base, bbs := searchBlockSafe(context.Background(), g, cfg)
-			probe := fullProbe()
-			cfg.Probe = probe
-			traced, tbs := searchBlockSafe(context.Background(), g, cfg)
+		cfg := diffConfig(pruned)
+		cfg.ISEGen = true
+		base, bbs := searchBlockSafe(context.Background(), g, cfg)
+		probe := fullProbe()
+		cfg.Probe = probe
+		traced, tbs := searchBlockSafe(context.Background(), g, cfg)
 
-			if base.Status != Exhaustive {
-				t.Fatalf("workers=%d pruned=%v: fixture block did not terminate: %v",
-					w, pruned, base.Status)
-			}
-			if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
-				base.Est != traced.Est || base.Status != traced.Status {
-				t.Errorf("workers=%d pruned=%v: traced racer result diverged:\n base=%+v\ntraced=%+v",
-					w, pruned, base, traced)
-			}
-			if bbs.Status != tbs.Status || bbs.Rung != tbs.Rung || bbs.Fallback != tbs.Fallback {
-				t.Errorf("workers=%d pruned=%v: traced block status diverged: base=%+v traced=%+v",
-					w, pruned, bbs, tbs)
-			}
-			if statsComparable(w, pruned) && !pruned && base.Stats != traced.Stats {
-				t.Errorf("workers=%d pruned=%v: traced Stats diverged: base=%+v traced=%+v",
-					w, pruned, base.Stats, traced.Stats)
-			}
+		if base.Status != Exhaustive {
+			t.Fatalf("pruned=%v: fixture block did not terminate: %v", pruned, base.Status)
+		}
+		if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
+			base.Est != traced.Est || base.Status != traced.Status {
+			t.Errorf("pruned=%v: traced racer result diverged:\n base=%+v\ntraced=%+v",
+				pruned, base, traced)
+		}
+		if bbs.Status != tbs.Status || bbs.Rung != tbs.Rung || bbs.Fallback != tbs.Fallback {
+			t.Errorf("pruned=%v: traced block status diverged: base=%+v traced=%+v",
+				pruned, bbs, tbs)
+		}
+		if !pruned && base.Stats != traced.Stats {
+			t.Errorf("pruned=%v: traced Stats diverged: base=%+v traced=%+v",
+				pruned, base.Stats, traced.Stats)
 		}
 	}
 }

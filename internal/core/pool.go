@@ -2,20 +2,19 @@ package core
 
 import "sync"
 
-// CPUPool is a process-wide CPU admission budget shared by every layer
-// that fans work out: the selection scheduler's block-level tasks and
-// their intra-block worker pools (Config.Speculate), the Parallel
-// drivers' per-block search goroutines (Config.Pool), and the DSE sweep
-// driver's grid tasks (internal/dse) all draw slots from one pot, so
-// stacking sweep-level on search-level parallelism bounds total
+// CPUPool is the one CPU admission mechanism: every layer that fans work
+// out — the selection scheduler's block-level tasks (Config.Speculate),
+// the Parallel drivers' per-block search goroutines (Config.Pool), and
+// the DSE sweep driver's grid tasks (internal/dse) — draws slots from a
+// pool, so stacking sweep-level on block-level parallelism bounds total
 // concurrency instead of multiplying it.
 //
-// Demand tasks block in Acquire until at least one slot frees and then
-// take up to their want; speculative tasks only ever take a single slot
-// and only while at least one other slot stays free, so the serial
-// demand stream is never starved by speculation. Holders must never
-// block on the pool while holding slots (no hold-and-wait), which keeps
-// the pool deadlock-free by construction.
+// Every holder holds exactly one slot: one serial block search. Demand
+// tasks block in Acquire until a slot frees; speculative tasks take a
+// slot only while the caller's number of spare slots stays free, so the
+// serial demand stream is never starved by speculation. Holders must never
+// block on the pool while holding a slot (no hold-and-wait), which
+// keeps the pool deadlock-free by construction.
 type CPUPool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -34,52 +33,42 @@ func NewCPUPool(slots int) *CPUPool {
 	return p
 }
 
-// Acquire blocks until at least one slot is free (or the pool closes,
-// returning 0) and takes min(want, free) slots, at least one.
-func (p *CPUPool) Acquire(want int) int {
-	if want < 1 {
-		want = 1
-	}
+// Acquire blocks until a slot is free and takes it, reporting true; it
+// reports false without a slot once the pool is closed.
+func (p *CPUPool) Acquire() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.free == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
-		return 0
-	}
-	n := want
-	if n > p.free {
-		n = p.free
-	}
-	p.free -= n
-	return n
-}
-
-// TryAcquireSpec takes one slot for a speculative task, but only while a
-// second slot remains free for demand work; it never blocks.
-func (p *CPUPool) TryAcquireSpec() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.free < 2 {
 		return false
 	}
 	p.free--
 	return true
 }
 
-// Release returns n slots to the pool.
-func (p *CPUPool) Release(n int) {
-	if n <= 0 {
-		return
-	}
+// TryAcquireSpec takes one slot for a speculative task, but only while
+// spare further slots remain free for demand work; it never blocks.
+func (p *CPUPool) TryAcquireSpec(spare int) bool {
 	p.mu.Lock()
-	p.free += n
+	defer p.mu.Unlock()
+	if p.closed || p.free <= spare {
+		return false
+	}
+	p.free--
+	return true
+}
+
+// Release returns one slot to the pool.
+func (p *CPUPool) Release() {
+	p.mu.Lock()
+	p.free++
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
-// Close wakes every blocked Acquire with 0 slots (used on abandon). It
+// Close wakes every blocked Acquire without a slot (used on abandon). It
 // cannot assert full occupancy itself: Close runs before the owner's
 // wg.Wait precisely so that blocked Acquires unblock, while holders are
 // still releasing their tokens via defers — leak detection is Leaked(),
@@ -91,7 +80,7 @@ func (p *CPUPool) Close() {
 	p.mu.Unlock()
 }
 
-// Leaked returns the number of tokens still held. Only meaningful once
+// Leaked returns the number of slots still held. Only meaningful once
 // every acquirer has finished (after the owner's wg.Wait): a positive
 // value then means a release was lost — e.g. a panic path that skipped
 // its deferred release — and the pool would have throttled forever in a

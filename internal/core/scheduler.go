@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -38,7 +39,7 @@ import (
 //     speculative task's cuts are valid on the driver's own collapsed
 //     graph even though the two graphs are distinct objects.
 //
-// Contracts preserved for every worker count: the selected instructions,
+// Contracts preserved for every pool width: the selected instructions,
 // TotalMerit, per-block statuses and IdentCalls equal the serial greedy
 // driver's (IdentCalls keeps its §6.2 meaning — consumed identifications
 // only; speculative work is reported separately as SpeculativeCalls and
@@ -49,10 +50,15 @@ import (
 // two searches share a graph (the per-graph scratch in dfg is not
 // concurrency-safe); speculative collapses run CollapseIncr, which
 // neither mutates its receiver nor touches the receiver's scratch. The
-// CPU budget is max(Config.Workers, 1) slots shared by all tasks: a task
-// granted n > 1 slots runs the parallel engine with n workers, a task
-// granted 1 runs serially, and speculative tasks take a single slot only
-// while at least one other slot stays free for demand work (cpuPool).
+// CPU budget is a private CPUPool of runtime.GOMAXPROCS(0) slots shared
+// by all tasks: every task holds exactly one slot and searches serially.
+// A demand task takes its slot on the driver goroutine before the task
+// starts, so speculation launched right after a round's demand may fill
+// every idle slot: the demand's own slot is released before the driver
+// consumes it, and the next round's demand takes exactly that slot.
+// Speculation launched with no demand in flight keeps one slot spare.
+// Demand work therefore never waits behind speculation, and at two
+// slots one demand and one speculation run side by side.
 
 // schedKey memoizes one identification: the structural fingerprint of
 // the graph searched (dfg.Fingerprint — name-insensitive, so cosmetic
@@ -81,11 +87,23 @@ type selTask struct {
 	cancel context.CancelFunc // non-nil for speculative tasks
 }
 
+// specSpare is how many slots speculation launched alongside the
+// round's demand task t must leave free: none while t still runs (its
+// slot is the one the next round's demand reuses), one otherwise.
+func specSpare(t *selTask) int {
+	select {
+	case <-t.done:
+		return 1
+	default:
+		return 0
+	}
+}
+
 type selScheduler struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	pool   *CPUPool
-	budget int
+	slots  int
 	probe  *obs.Probe
 
 	mu           sync.Mutex
@@ -96,16 +114,13 @@ type selScheduler struct {
 }
 
 func newSelScheduler(parent context.Context, cfg Config) *selScheduler {
-	budget := cfg.Workers
-	if budget < 1 {
-		budget = 1
-	}
+	slots := runtime.GOMAXPROCS(0)
 	ctx, cancel := context.WithCancel(parent)
 	return &selScheduler{
 		ctx:    ctx,
 		cancel: cancel,
-		pool:   NewCPUPool(budget),
-		budget: budget,
+		pool:   NewCPUPool(slots),
+		slots:  slots,
 		probe:  cfg.Probe,
 		tasks:  make(map[schedKey]*selTask),
 	}
@@ -126,7 +141,7 @@ func (sc *selScheduler) shutdown() {
 			if sc.probe != nil && sc.probe.Met != nil {
 				sc.probe.Met.PoolLeaks.Add(int64(n))
 			}
-			sc.probe.Sys(obs.KStall, "cpupool-leak", int64(n), int64(sc.budget), 0)
+			sc.probe.Sys(obs.KStall, "cpupool-leak", int64(n), int64(sc.slots), 0)
 		}
 	})
 }
@@ -140,7 +155,7 @@ func (sc *selScheduler) shutdown() {
 // defers, which still run.
 func guardTask(p *obs.Probe, fn, block string, bs *BlockStatus) {
 	if r := recover(); r != nil {
-		p.Panic("sched-task/"+fn+"/"+block, panicMsg(r), 0)
+		p.Panic("sched-task/"+fn+"/"+block, panicMsg(r))
 		if bs.Fn == "" {
 			bs.Fn, bs.Block = fn, block
 		}
@@ -158,7 +173,7 @@ func guardTask(p *obs.Probe, fn, block string, bs *BlockStatus) {
 func (sc *selScheduler) fireSpecLaunch(fire func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			sc.pool.Release(1)
+			sc.pool.Release()
 			panic(r)
 		}
 	}()
@@ -172,59 +187,54 @@ func (sc *selScheduler) speculativeCalls() int {
 	return sc.specLaunches
 }
 
-// taskConfig is the per-task search config for a task granted n slots:
-// the task must not re-enter the scheduler or the block-level fan-out,
-// and runs the engine only when it holds more than one slot.
-func (sc *selScheduler) taskConfig(cfg Config, tokens int) Config {
+// taskConfig is the per-task search config: the task must not re-enter
+// the scheduler or the block-level fan-out.
+func taskConfig(cfg Config) Config {
 	cfg.Speculate = false
 	cfg.Parallel = false
 	// The scheduler has its own admission pool and this task already
-	// holds tokens from it; gating again inside searchBlockSafe would
+	// holds a slot from it; gating again inside searchBlockSafe would
 	// hold-and-wait.
 	cfg.Pool = nil
-	if tokens > 1 {
-		cfg.Workers = tokens
-	} else {
-		cfg.Workers = 0
-	}
 	return cfg
 }
 
-// runMulti starts t's goroutine for a demand-path multi-cut search.
-// Called with t not yet published (or never published, for collision
-// fallbacks); wg.Add happens before return, so shutdown cannot miss it.
-func (sc *selScheduler) runMulti(t *selTask, g *dfg.Graph, m int, cfg Config, want int) {
+// runMulti takes a pool slot for a demand-path multi-cut search on the
+// calling (driver) goroutine, blocking until one frees, then starts t's
+// goroutine; wg.Add happens before return, so shutdown cannot miss it.
+// A closed pool completes t as Canceled.
+func (sc *selScheduler) runMulti(t *selTask, g *dfg.Graph, m int, cfg Config) {
+	if !sc.pool.Acquire() { // pool closed: scheduler shut down
+		t.mres = MultiResult{Status: Canceled, Stats: Stats{Aborted: true}}
+		t.bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, Status: Canceled}
+		close(t.done)
+		return
+	}
 	sc.wg.Add(1)
 	go func() {
 		defer sc.wg.Done()
 		defer close(t.done)
 		defer guardTask(cfg.Probe, g.Fn.Name, g.Block.Name, &t.bs)
-		tokens := sc.pool.Acquire(want)
-		if tokens == 0 { // pool closed: scheduler shut down
-			t.mres = MultiResult{Status: Canceled, Stats: Stats{Aborted: true}}
-			t.bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, Status: Canceled}
-			return
-		}
-		defer sc.pool.Release(tokens)
-		t.mres, t.bs = searchBlockMultiSafe(sc.ctx, g, m, sc.taskConfig(cfg, tokens))
+		defer sc.pool.Release()
+		t.mres, t.bs = searchBlockMultiSafe(sc.ctx, g, m, taskConfig(cfg))
 	}()
 }
 
 // runSingle is runMulti for the single-cut search.
-func (sc *selScheduler) runSingle(t *selTask, g *dfg.Graph, cfg Config, want int) {
+func (sc *selScheduler) runSingle(t *selTask, g *dfg.Graph, cfg Config) {
+	if !sc.pool.Acquire() {
+		t.res = Result{Status: Canceled, Stats: Stats{Aborted: true}}
+		t.bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, Status: Canceled}
+		close(t.done)
+		return
+	}
 	sc.wg.Add(1)
 	go func() {
 		defer sc.wg.Done()
 		defer close(t.done)
 		defer guardTask(cfg.Probe, g.Fn.Name, g.Block.Name, &t.bs)
-		tokens := sc.pool.Acquire(want)
-		if tokens == 0 {
-			t.res = Result{Status: Canceled, Stats: Stats{Aborted: true}}
-			t.bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, Status: Canceled}
-			return
-		}
-		defer sc.pool.Release(tokens)
-		t.res, t.bs = searchBlockSafe(sc.ctx, g, sc.taskConfig(cfg, tokens))
+		defer sc.pool.Release()
+		t.res, t.bs = searchBlockSafe(sc.ctx, g, taskConfig(cfg))
 	}()
 }
 
@@ -237,12 +247,11 @@ func (sc *selScheduler) runSingle(t *selTask, g *dfg.Graph, cfg Config, want int
 func adoptable(t *selTask, g *dfg.Graph) bool { return dfg.EqualStructure(t.g, g) }
 
 // demandMulti returns the task for (fp, m), launching it on the demand
-// path if absent: the launch blocks (inside the task's goroutine) until
-// the pool frees at least one slot and takes up to want. A memoized task
-// whose graph does not match g (a fingerprint collision) is never
-// adopted: a fresh, unregistered task searches g instead — correct for
-// the caller, merely not memoized.
-func (sc *selScheduler) demandMulti(g *dfg.Graph, fp uint64, m int, cfg Config, want int) *selTask {
+// path if absent: the launch blocks (on the driver goroutine) until the
+// pool frees a slot. A memoized task whose graph does not match g (a
+// fingerprint collision) is never adopted: a fresh, unregistered task
+// searches g instead — correct for the caller, merely not memoized.
+func (sc *selScheduler) demandMulti(g *dfg.Graph, fp uint64, m int, cfg Config) *selTask {
 	key := schedKey{fp: fp, m: m}
 	sc.mu.Lock()
 	if t, ok := sc.tasks[key]; ok {
@@ -253,28 +262,29 @@ func (sc *selScheduler) demandMulti(g *dfg.Graph, fp uint64, m int, cfg Config, 
 		}
 		cfg.Probe.MemoCollision(g.Fn.Name+"/"+g.Block.Name, m)
 		t2 := &selTask{done: make(chan struct{}), g: g}
-		sc.runMulti(t2, g, m, cfg, want)
+		sc.runMulti(t2, g, m, cfg)
 		return t2
 	}
 	t := &selTask{done: make(chan struct{}), g: g}
 	sc.tasks[key] = t
 	sc.mu.Unlock()
-	sc.runMulti(t, g, m, cfg, want)
+	sc.runMulti(t, g, m, cfg)
 	return t
 }
 
 // specMulti launches the (fp, m) identification speculatively on one
-// idle slot. Returns false only when the pool has no idle capacity (the
-// caller should stop proposing speculations this round); an already
-// -present task reports true.
-func (sc *selScheduler) specMulti(g *dfg.Graph, fp uint64, m int, cfg Config) bool {
+// idle slot, keeping spare slots free (see CPUPool.TryAcquireSpec).
+// Returns false only when the pool has no idle capacity (the caller
+// should stop proposing speculations this round); an already-present
+// task reports true.
+func (sc *selScheduler) specMulti(g *dfg.Graph, fp uint64, m int, cfg Config, spare int) bool {
 	key := schedKey{fp: fp, m: m}
 	sc.mu.Lock()
 	if _, ok := sc.tasks[key]; ok {
 		sc.mu.Unlock()
 		return true
 	}
-	if !sc.pool.TryAcquireSpec() {
+	if !sc.pool.TryAcquireSpec(spare) {
 		sc.mu.Unlock()
 		return false
 	}
@@ -292,7 +302,7 @@ func (sc *selScheduler) specMulti(g *dfg.Graph, fp uint64, m int, cfg Config) bo
 	if _, ok := sc.tasks[key]; ok {
 		sc.mu.Unlock()
 		tcancel()
-		sc.pool.Release(1) // lost the race: the demand task supersedes us
+		sc.pool.Release() // lost the race: the demand task supersedes us
 		return true
 	}
 	sc.tasks[key] = t
@@ -303,14 +313,14 @@ func (sc *selScheduler) specMulti(g *dfg.Graph, fp uint64, m int, cfg Config) bo
 		defer sc.wg.Done()
 		defer close(t.done)
 		defer guardTask(cfg.Probe, g.Fn.Name, g.Block.Name, &t.bs)
-		defer sc.pool.Release(1)
-		t.mres, t.bs = searchBlockMultiSafe(tctx, g, m, sc.taskConfig(cfg, 1))
+		defer sc.pool.Release()
+		t.mres, t.bs = searchBlockMultiSafe(tctx, g, m, taskConfig(cfg))
 	}()
 	return true
 }
 
 // demandSingle is demandMulti for the single-cut search (key.m == 0).
-func (sc *selScheduler) demandSingle(g *dfg.Graph, fp uint64, cfg Config, want int) *selTask {
+func (sc *selScheduler) demandSingle(g *dfg.Graph, fp uint64, cfg Config) *selTask {
 	key := schedKey{fp: fp, m: 0}
 	sc.mu.Lock()
 	if t, ok := sc.tasks[key]; ok {
@@ -321,13 +331,13 @@ func (sc *selScheduler) demandSingle(g *dfg.Graph, fp uint64, cfg Config, want i
 		}
 		cfg.Probe.MemoCollision(g.Fn.Name+"/"+g.Block.Name, 0)
 		t2 := &selTask{done: make(chan struct{}), g: g}
-		sc.runSingle(t2, g, cfg, want)
+		sc.runSingle(t2, g, cfg)
 		return t2
 	}
 	t := &selTask{done: make(chan struct{}), g: g}
 	sc.tasks[key] = t
 	sc.mu.Unlock()
-	sc.runSingle(t, g, cfg, want)
+	sc.runSingle(t, g, cfg)
 	return t
 }
 
@@ -337,9 +347,10 @@ func (sc *selScheduler) demandSingle(g *dfg.Graph, fp uint64, cfg Config, want i
 // collapse (Legal re-checked and merit re-Evaluated on the collapsed
 // graph — prev.prevMerit may be threshold-adjusted and is never
 // trusted). The collapse itself runs inside the task, off the driver's
-// critical path. Returns nil when the pool has no idle capacity.
-func (sc *selScheduler) specCollapseSearch(g *dfg.Graph, cut dfg.Cut, name string, hwCycles int, prev Result, cfg Config) *selTask {
-	if !sc.pool.TryAcquireSpec() {
+// critical path. Returns nil when the pool has no idle capacity beyond
+// spare slots.
+func (sc *selScheduler) specCollapseSearch(g *dfg.Graph, cut dfg.Cut, name string, hwCycles int, prev Result, cfg Config, spare int) *selTask {
+	if !sc.pool.TryAcquireSpec(spare) {
 		return nil
 	}
 	sc.fireSpecLaunch(func() { cfg.Probe.SpecLaunch(g.Fn.Name+"/"+g.Block.Name, 0, true) })
@@ -353,14 +364,14 @@ func (sc *selScheduler) specCollapseSearch(g *dfg.Graph, cut dfg.Cut, name strin
 		defer sc.wg.Done()
 		defer close(t.done)
 		defer guardTask(cfg.Probe, g.Fn.Name, g.Block.Name, &t.bs)
-		defer sc.pool.Release(1)
+		defer sc.pool.Release()
 		ng, err := g.CollapseIncr(cut, name, hwCycles)
 		if err != nil {
 			t.bs = BlockStatus{Fn: g.Fn.Name, Block: g.Block.Name, Status: Recovered, Err: err}
 			return
 		}
 		t.g = ng
-		scfg := sc.taskConfig(cfg, 1)
+		scfg := taskConfig(cfg)
 		if prev.prevFound && len(prev.prevCut) > 0 && ng.Legal(prev.prevCut, cfg.Nin, cfg.Nout) {
 			if m := Evaluate(ng, prev.prevCut, cfg.model()).Merit; m > 0 {
 				scfg = scfg.withSeed(m, prev.prevCut, nil)
@@ -409,23 +420,16 @@ func selectOptimalScheduled(ctx context.Context, mod *ir.Module, ninstr int, cfg
 		return t.mres
 	}
 	// Initial pass: every block's single-cut identification is demanded
-	// up front and consumed in index order (the serial order), splitting
-	// the budget evenly across the leader blocks; dedup followers adopt
-	// their leader's translated result instead of demanding a search.
+	// up front and consumed in index order (the serial order); dedup
+	// followers adopt their leader's translated result instead of
+	// demanding a search.
 	leader := dedupPlan(memo, hs, func(i int) *dfg.Graph { return bgs[i].g }, len(bgs))
-	nLeaders := 0
-	for i := range leader {
-		if leader[i] == i {
-			nLeaders++
-		}
-	}
-	want := (sc.budget + nLeaders - 1) / nLeaders
 	initial := make([]*selTask, len(bgs))
 	for i := range bgs {
 		blockStat[i] = BlockStatus{Fn: bgs[i].fn.Name, Block: bgs[i].b.Name}
 		fps[i] = bgs[i].g.Fingerprint()
 		if leader[i] == i {
-			initial[i] = sc.demandMulti(bgs[i].g, fps[i], 1, cfg, want)
+			initial[i] = sc.demandMulti(bgs[i].g, fps[i], 1, cfg)
 		}
 	}
 	for i := range bgs {
@@ -439,7 +443,7 @@ func selectOptimalScheduled(ctx context.Context, mod *ir.Module, ninstr int, cfg
 		} else {
 			// The planned leader's search did not finish exhaustively (or
 			// revalidation refused the translation): search this block.
-			r = consume(i, sc.demandMulti(bgs[i].g, fps[i], 1, cfg, sc.budget))
+			r = consume(i, sc.demandMulti(bgs[i].g, fps[i], 1, cfg))
 		}
 		states[i].totals = []int64{0, r.TotalMerit}
 		states[i].results = []MultiResult{{}, r}
@@ -479,14 +483,15 @@ func selectOptimalScheduled(ctx context.Context, mod *ir.Module, ninstr int, cfg
 			// Demand the winner at M+1, seeded with its own M-cut optimum
 			// (feasible at M+1: the extra cut may stay empty).
 			t := sc.demandMulti(bgs[bestB].g, fps[bestB], st.m+1,
-				cfg.withSeed(st.totals[st.m], nil, st.results[st.m].Cuts), sc.budget)
+				cfg.withSeed(st.totals[st.m], nil, st.results[st.m].Cuts))
 			// Speculate while the demand runs: the winner's own next level
 			// (needed if it wins again; only the weaker M-cut bound is known
 			// yet), then the runner-up blocks' next levels in gain order,
 			// each seeded with its block's strongest known assignment. No
 			// speculation in the last round — nothing can demand it.
+			spare := specSpare(t)
 			specOK := chosen+1 < ninstr && sc.specMulti(bgs[bestB].g, fps[bestB], st.m+2,
-				cfg.withSeed(st.totals[st.m], nil, st.results[st.m].Cuts))
+				cfg.withSeed(st.totals[st.m], nil, st.results[st.m].Cuts), spare)
 			if specOK {
 				order := make([]int, 0, len(states))
 				for i := range states {
@@ -500,7 +505,7 @@ func selectOptimalScheduled(ctx context.Context, mod *ir.Module, ninstr int, cfg
 				for _, i := range order {
 					mi := states[i].m
 					if !sc.specMulti(bgs[i].g, fps[i], mi+2,
-						cfg.withSeed(states[i].totals[mi+1], nil, states[i].results[mi+1].Cuts)) {
+						cfg.withSeed(states[i].totals[mi+1], nil, states[i].results[mi+1].Cuts), spare) {
 						break
 					}
 				}
@@ -587,24 +592,17 @@ func selectIterativeScheduled(ctx context.Context, mod *ir.Module, ninstr int, c
 		}
 	}
 	// Initial pass: all leader blocks demanded up front, consumed in
-	// index order, budget split evenly; dedup followers adopt their
-	// leader's translated result instead of demanding a search.
+	// index order; dedup followers adopt their leader's translated result
+	// instead of demanding a search.
 	memo := newDedupMemo(cfg)
 	hs := make([]dfg.CanonDigest, len(bgs))
 	leader := dedupPlan(memo, hs, func(i int) *dfg.Graph { return bgs[i].g }, len(bgs))
-	nLeaders := 0
-	for i := range leader {
-		if leader[i] == i {
-			nLeaders++
-		}
-	}
-	want := (sc.budget + nLeaders - 1) / nLeaders
 	initial := make([]*selTask, len(bgs))
 	for i := range bgs {
 		states[i].g = bgs[i].g
 		states[i].fp = bgs[i].g.Fingerprint()
 		if leader[i] == i {
-			initial[i] = sc.demandSingle(states[i].g, states[i].fp, cfg, want)
+			initial[i] = sc.demandSingle(states[i].g, states[i].fp, cfg)
 		}
 	}
 	consume := func(i int, t *selTask) {
@@ -625,14 +623,14 @@ func selectIterativeScheduled(ctx context.Context, mod *ir.Module, ninstr int, c
 		} else {
 			// The planned leader's search did not finish exhaustively (or
 			// revalidation refused the translation): search this block.
-			consume(i, sc.demandSingle(states[i].g, states[i].fp, cfg, sc.budget))
+			consume(i, sc.demandSingle(states[i].g, states[i].fp, cfg))
 		}
 	}
 	// launchSpecs fills idle slots with the searches the next rounds are
 	// most likely to demand: each candidate block's post-collapse
 	// re-identification, best current merit first (the order the greedy
 	// loop would pick winners in if nothing changed).
-	launchSpecs := func(exclude int) {
+	launchSpecs := func(exclude, spare int) {
 		order := make([]int, 0, len(states))
 		for i := range states {
 			if i == exclude || !states[i].best.Found || states[i].best.Est.Merit <= 0 {
@@ -649,7 +647,7 @@ func selectIterativeScheduled(ctx context.Context, mod *ir.Module, ninstr int, c
 		for _, i := range order {
 			st := &states[i]
 			name := fmt.Sprintf("ise_%s_g%d", bgs[i].b.Name, st.gen+1)
-			t := sc.specCollapseSearch(st.g, st.best.Cut, name, st.best.Est.HWCycles, st.best, cfg)
+			t := sc.specCollapseSearch(st.g, st.best.Cut, name, st.best.Est.HWCycles, st.best, cfg, spare)
 			if t == nil {
 				break // no idle capacity left this round
 			}
@@ -711,7 +709,7 @@ func selectIterativeScheduled(ctx context.Context, mod *ir.Module, ninstr int, c
 			st.best = rr
 			mergeBlockStatus(&blockStat[bestB], bb)
 			if chosen+1 < ninstr {
-				launchSpecs(bestB)
+				launchSpecs(bestB, 1) // no demand in flight this round
 			}
 			continue
 		}
@@ -737,10 +735,10 @@ func selectIterativeScheduled(ctx context.Context, mod *ir.Module, ninstr int, c
 					scfg = scfg.withSeed(m, prev.prevCut, nil)
 				}
 			}
-			t = sc.demandSingle(ng, st.fp, scfg, sc.budget)
+			t = sc.demandSingle(ng, st.fp, scfg)
 		}
 		if chosen+1 < ninstr { // the last round cannot demand a speculation
-			launchSpecs(bestB)
+			launchSpecs(bestB, specSpare(t))
 		}
 		<-t.done
 		if t.spec && (t.g == nil || !dfg.EqualStructure(t.g, ng)) {
@@ -751,7 +749,7 @@ func selectIterativeScheduled(ctx context.Context, mod *ir.Module, ninstr int, c
 			if t.g != nil {
 				cfg.Probe.MemoCollision(bgs[bestB].fn.Name+"/"+bgs[bestB].b.Name, 0)
 			}
-			t = sc.demandSingle(ng, st.fp, cfg, sc.budget)
+			t = sc.demandSingle(ng, st.fp, cfg)
 			<-t.done
 		}
 		res.IdentCalls++

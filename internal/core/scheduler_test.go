@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
 	"isex/internal/dfg"
 	"isex/internal/ir"
+	"isex/internal/workload"
 )
 
 // assertSelectionsEqual checks the scheduler's bit-identity contract:
@@ -60,10 +64,11 @@ func assertSelectionsEqual(t *testing.T, label string, want, got SelectionResult
 }
 
 // TestScheduledSelectionDeterministic is the scheduler's determinism
-// suite: for both drivers, every worker count, and pruned and unpruned
-// configs, the speculative scheduled selection must be bit-identical to
-// the cold serial greedy driver.
+// suite: for both drivers, every pool width (GOMAXPROCS), and pruned and
+// unpruned configs, the speculative scheduled selection must be
+// bit-identical to the cold serial greedy driver.
 func TestScheduledSelectionDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	m := compileAndProfile(t, threeKernels)
 	variants := []struct {
 		name string
@@ -73,7 +78,7 @@ func TestScheduledSelectionDeterministic(t *testing.T) {
 		exactStats bool
 	}{
 		// Narrow ports keep the unpruned exact trees small, so the full
-		// worker sweep stays cheap enough for the -short -race CI run.
+		// width sweep stays cheap enough for the -short -race CI run.
 		{"narrow-plain", Config{Nin: 2, Nout: 1}, true},
 		{"wide-pruned", Config{Nin: 4, Nout: 2, PruneInputs: true, PruneMerit: true, WarmStart: true}, false},
 	}
@@ -94,25 +99,26 @@ func TestScheduledSelectionDeterministic(t *testing.T) {
 		if optSerial.Status != Exhaustive || iterSerial.Status != Exhaustive {
 			t.Fatalf("%s: serial reference not exhaustive", v.name)
 		}
-		workerCounts := append([]int{0}, parallelWorkerCounts...)
+		widths := []int{1, 2, 4}
 		if v.name == "wide-plain" {
-			workerCounts = []int{8} // each scheduled run repeats the 10 s search
+			widths = []int{4} // each scheduled run repeats the 10 s search
 		}
-		for _, nw := range workerCounts {
+		for _, procs := range widths {
+			runtime.GOMAXPROCS(procs)
+			label := fmt.Sprintf("%s/gomaxprocs=%d", v.name, procs)
 			cfg := v.cfg
 			cfg.Speculate = true
-			cfg.Workers = nw
 			opt := SelectOptimal(m, 4, cfg)
-			assertSelectionsEqual(t, v.name+"/optimal/scheduled", optSerial, opt, v.exactStats)
+			assertSelectionsEqual(t, label+"/optimal/scheduled", optSerial, opt, v.exactStats)
 			iter := SelectIterative(m, 4, cfg)
-			assertSelectionsEqual(t, v.name+"/iterative/scheduled", iterSerial, iter, v.exactStats)
+			assertSelectionsEqual(t, label+"/iterative/scheduled", iterSerial, iter, v.exactStats)
 			if opt.SpeculativeCalls < opt.CacheHits {
-				t.Fatalf("%s/optimal workers=%d: %d cache hits from %d speculative calls",
-					v.name, nw, opt.CacheHits, opt.SpeculativeCalls)
+				t.Fatalf("%s/optimal: %d cache hits from %d speculative calls",
+					label, opt.CacheHits, opt.SpeculativeCalls)
 			}
 			if iter.SpeculativeCalls < iter.CacheHits {
-				t.Fatalf("%s/iterative workers=%d: %d cache hits from %d speculative calls",
-					v.name, nw, iter.CacheHits, iter.SpeculativeCalls)
+				t.Fatalf("%s/iterative: %d cache hits from %d speculative calls",
+					label, iter.CacheHits, iter.SpeculativeCalls)
 			}
 		}
 		// The serial drivers must not report speculative work.
@@ -221,5 +227,30 @@ func TestSortSelectedTieBreaks(t *testing.T) {
 			}
 			t.Fatalf("sortSelected order (by merit tag) = %v, want %v", order, wantMerits)
 		}
+	}
+}
+
+// TestSpeculateAloneSpeculates is the regression for Speculate on its own
+// never speculating: the scheduler's pool was sized from the parallel
+// engine's worker count, one slot unless that was set, and a speculative
+// search needs an idle slot beside the demand search. Sized from
+// GOMAXPROCS, two CPUs run one demand and one speculative search side by
+// side, and the selection stays bit-identical to the cold serial driver.
+func TestSpeculateAloneSpeculates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m, err := workload.ByName("fir").Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Nin: 2, Nout: 1}
+	cold := SelectOptimalCtx(context.Background(), m, 8, cfg)
+	if cold.Status != Exhaustive {
+		t.Fatalf("cold serial reference not exhaustive: %v", cold.Status)
+	}
+	cfg.Speculate = true
+	got := SelectOptimalCtx(context.Background(), m, 8, cfg)
+	assertSelectionsEqual(t, "fir/optimal/speculate", cold, got, true)
+	if got.SpeculativeCalls == 0 {
+		t.Fatalf("Speculate at GOMAXPROCS=2 launched no speculative search (%d cache hits)", got.CacheHits)
 	}
 }

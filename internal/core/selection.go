@@ -56,7 +56,7 @@ type SelectionResult struct {
 	// by the scheduler (Config.Speculate) is never charged here.
 	IdentCalls int
 	// SpeculativeCalls counts identifications the scheduler launched
-	// speculatively on idle workers (Config.Speculate); CacheHits counts
+	// speculatively on idle CPU slots (Config.Speculate); CacheHits counts
 	// how many of the IdentCalls were served by such a speculation
 	// instead of a fresh demand search. Both are 0 without Speculate.
 	SpeculativeCalls int

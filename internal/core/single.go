@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"time"
 
 	"isex/internal/dfg"
 	"isex/internal/latency"
@@ -41,10 +40,7 @@ type Config struct {
 	// MaxCuts aborts the search after considering this many cuts
 	// (0 = unlimited). The incumbent found so far is returned with
 	// Stats.Aborted set; the paper reports multi-hour runs for loose
-	// constraints, which this valve bounds in test environments. With
-	// Workers > 0 the budget is shared across workers and enforced at
-	// poll granularity, so the engine may overshoot it by up to
-	// Workers × ctxCheckInterval cuts.
+	// constraints, which this valve bounds in test environments.
 	MaxCuts int64
 	// Window, when positive, replaces the exact search by the §9
 	// windowed heuristic (see FindBestCutWindowed): overlapping
@@ -53,18 +49,8 @@ type Config struct {
 	Window int
 	// Parallel lets selection search independent basic blocks
 	// concurrently (one goroutine per block in the initial round).
-	// Results are identical to the serial run. It composes with Workers:
-	// each block's search then runs its own worker pool.
+	// Results are identical to the serial run.
 	Parallel bool
-	// Workers, when positive, runs the exact single- and multiple-cut
-	// searches on the work-stealing parallel branch-and-bound engine
-	// (see parallel.go) with that many workers. Completed runs are
-	// bit-identical to the serial search for every worker count — same
-	// merit, same canonical cut, same Status — though Stats may differ
-	// when PruneMerit is set (the shared incumbent bound prunes a
-	// different, never unsound, portion of the tree). 0 keeps the serial
-	// recursive search.
-	Workers int
 	// WarmStart seeds the exact search's incumbent from a cheap §9
 	// windowed-heuristic pass before the search starts, so PruneMerit
 	// bites from the first node. The seed is applied at one merit unit
@@ -73,33 +59,18 @@ type Config struct {
 	// explored tree. The warm pass is bounded by 2^warmWindow cuts per
 	// window and is charged against neither MaxCuts nor the returned
 	// Stats — the Stats describe the exact search alone, so a warm and a
-	// cold run are directly comparable on the same tree. The parallel
-	// engine warm-starts whenever PruneMerit is set, with or without this
-	// flag; the serial search only when it is set.
+	// cold run are directly comparable on the same tree.
 	WarmStart bool
-	// StallWindow, when positive and Workers > 0, arms the engine
-	// watchdog: a worker that shows no poll progress for two consecutive
-	// windows while executing a subproblem is told to abandon it at its
-	// next poll — the subproblem is requeued whole for the other workers
-	// and the run's status is degraded to Stalled (the requeue loses no
-	// work, but exhaustiveness is no longer claimed). The watchdog is
-	// cooperative: it cannot interrupt a goroutine that never polls, and
-	// it cannot distinguish a wedged worker from one an overloaded
-	// machine descheduled — size the window generously (hundreds of
-	// milliseconds at least). 0 (the default) disables it, preserving
-	// the engine's bit-identical guarantee; serial searches
-	// (Workers == 0) ignore it entirely.
-	StallWindow time.Duration
 	// Speculate routes SelectOptimalCtx / SelectIterativeCtx (and, through
 	// the latter, SelectAreaConstrainedCtx) through the selection-level
-	// scheduler (see scheduler.go): idle workers speculatively re-identify
+	// scheduler (see scheduler.go): idle CPU slots speculatively re-identify
 	// runner-up blocks, results are memoized by graph fingerprint, and
 	// every re-search is warm-started from the best already-known sound
 	// bound. Selections are bit-identical to the serial greedy driver; the
 	// extra searches are reported in SelectionResult.SpeculativeCalls /
-	// CacheHits, never in IdentCalls. The scheduler shares one CPU budget
-	// of max(Workers, 1) slots between concurrent block searches and each
-	// search's own worker pool.
+	// CacheHits, never in IdentCalls. The scheduler admits its block
+	// searches through a private CPUPool of runtime.GOMAXPROCS(0) slots,
+	// one slot per search.
 	Speculate bool
 	// Dedup enables cross-block structural deduplication in the selection
 	// drivers (SelectOptimalCtx, SelectIterativeCtx and their scheduled
@@ -123,7 +94,7 @@ type Config struct {
 	// isegen.go) against the exact search on blocks larger than the §9
 	// fallback window. The racer publishes Legal/Evaluate-revalidated
 	// incumbents into a CAS-max shared bound that the exact search folds
-	// into its PruneMerit cache at poll cadence — soundly, so terminating
+	// into its PruneMerit cutoff at poll cadence — soundly, so terminating
 	// exact searches stay bit-identical with the racer on or off — and
 	// the anytime ladder adopts the racer's best answer (RungIterative)
 	// only when the exact search did not terminate. Off by default.
@@ -144,7 +115,8 @@ type Config struct {
 	// concurrent selection calls sharing one pool (the DSE sweep's grid
 	// tasks) bound their total CPU draw to the pool's capacity instead of
 	// multiplying. The speculative scheduler (Speculate) ignores it — it
-	// brings its own pool of max(Workers, 1) slots. Nil disables gating.
+	// brings its own pool of runtime.GOMAXPROCS(0) slots. Nil disables
+	// gating.
 	Pool *CPUPool
 	// Probe, when non-nil, enables the search telemetry subsystem: a
 	// flight recorder of typed search events, an atomic metrics
@@ -171,7 +143,7 @@ type Config struct {
 
 	// race attaches the block's iterative racer (package-internal; set by
 	// the anytime layer when ISEGen launches one). The searcher folds
-	// race.bound into its PruneMerit shared cache at poll cadence and the
+	// race.bound into its PruneMerit cutoff at poll cadence and the
 	// warm-start paths exchange seeds with it. Recursive passes that
 	// search Restrict views (windowed heuristic, warm pass) must nil it:
 	// a full-graph bound is not sound on a window.
@@ -239,14 +211,13 @@ type Result struct {
 	// Status reports how the search ended; anything but Exhaustive means
 	// the result is a best-so-far lower bound, not a proven optimum.
 	Status SearchStatus
-	// Err carries the first panic recovered inside the parallel engine
-	// (message plus truncated stack), even when a retry then finished the
-	// subproblem and Status stayed Exhaustive. Nil on serial searches.
+	// Err carries the first panic recovered inside the block's iterative
+	// racer (Config.ISEGen; message plus truncated stack), set by the
+	// anytime ladder even when Status stayed Exhaustive. Nil otherwise.
 	Err error
 
 	// prev* expose the runner-up incumbent — the cut the winner displaced
-	// last (serial) or the best losing merge candidate (parallel). It is a
-	// legal cut of the searched graph with merit prevMerit, used by the
+	// last. It is a legal cut of the searched graph with merit prevMerit, used by the
 	// selection scheduler to warm-start post-collapse re-searches; it is a
 	// heuristic second-best (sound as a seed, not guaranteed to be the
 	// true runner-up) and deliberately unexported.
@@ -275,9 +246,9 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	if cfg.Seeds != nil {
 		// Detach the book, upgrade the incumbent seed from it, run the
 		// search normally, and publish the winner back. Only exhaustive
-		// winners are stored: a budget-stopped incumbent from the parallel
-		// engine can depend on timing, and the book must stay a function of
-		// completed work (see SeedBook on determinism).
+		// winners are stored: a deadline-stopped incumbent depends on
+		// timing, and the book must stay a function of completed work (see
+		// SeedBook on determinism).
 		book, fp := cfg.Seeds, g.Fingerprint()
 		cfg.Seeds = nil
 		cfg = book.applySeed(g, fp, cfg)
@@ -288,9 +259,6 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 			}
 		}
 		return res
-	}
-	if cfg.Workers > 0 {
-		return findBestCutParallel(ctx, g, cfg)
 	}
 	s := newSearcher(g, cfg)
 	s.ctx = ctx
@@ -344,21 +312,18 @@ func FindBestCutCtx(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 }
 
 // warmWindow sizes the §9 windowed pass that warm-starts the exact
-// search's incumbent (Config.WarmStart; the parallel engine applies it
-// whenever PruneMerit is set). Each window's search is bounded by
+// search's incumbent (Config.WarmStart). Each window's search is bounded by
 // 2^warmWindow cuts, so the pass is always cheap relative to the exact
 // search it accelerates.
 const warmWindow = 12
 
 // findWarmIncumbent runs the cheap windowed pass that seeds the exact
 // search's incumbent. It strips every recursive option: a window value
-// would re-enter the heuristic, WarmStart would recurse, Workers would
-// spin an engine per window, and MaxCuts would charge the seed against
-// the caller's budget.
+// would re-enter the heuristic, WarmStart would recurse, and MaxCuts
+// would charge the seed against the caller's budget.
 func findWarmIncumbent(ctx context.Context, g *dfg.Graph, cfg Config) Result {
 	cfg.Window = 0
 	cfg.WarmStart = false
-	cfg.Workers = 0
 	cfg.MaxCuts = 0
 	cfg.Parallel = false
 	// The warm pass still feeds the metrics registry (its work is real
@@ -422,45 +387,28 @@ type searcher struct {
 	obs       *obs.SearchObs
 	boundCuts int64
 
-	// Engine attachment (nil for the serial search): eng supplies the
-	// shared incumbent bound and the global budget, sharedCache is the
-	// last observed shared bound (MinInt64 when detached — the pruning
-	// comparison then never fires), and flushMark is how much of
-	// stats.CutsConsidered has been flushed to the engine's counter.
-	eng         *bbEngine
-	sharedCache int64
-	flushMark   int64
-	wid         int
-
-	// Donation bookkeeping (engine runs only; see tryDonate): base is the
-	// replayed prefix depth, curRank the rank of the innermost live visit
-	// frame, path the decision at each live ancestor rank, zeroOK whether
-	// that frame's 0-branch passes the PruneInputs guard, and donated
-	// whether it was handed to the engine (the frame then skips it).
-	base    int
+	// racerBound is the last observed racer bound (see pollRacer);
+	// MinInt64 while no racer has published — the pruning comparison
+	// then never fires.
+	racerBound int64
+	// curRank is the rank of the innermost live visit frame, reported
+	// with incumbent events.
 	curRank int
-	path    []uint8
-	zeroOK  []bool
-	donated []bool
-
-	// replayUndo records the state deltas of an engine prefix replay so
-	// it can be unwound exactly (see replay/unreplay).
-	replayUndo []replayStep
 }
 
 func newSearcher(g *dfg.Graph, cfg Config) *searcher {
 	m := cfg.model()
 	s := &searcher{
-		g:           g,
-		cfg:         cfg,
-		model:       m,
-		order:       g.OpOrder,
-		freq:        weight(g.Block.Freq),
-		inCut:       make([]bool, len(g.Nodes)),
-		reach:       make([]bool, len(g.Nodes)),
-		refCnt:      make([]int, len(g.Nodes)),
-		lenTo:       make([]float64, len(g.Nodes)),
-		sharedCache: math.MinInt64,
+		g:          g,
+		cfg:        cfg,
+		model:      m,
+		order:      g.OpOrder,
+		freq:       weight(g.Block.Freq),
+		inCut:      make([]bool, len(g.Nodes)),
+		reach:      make([]bool, len(g.Nodes)),
+		refCnt:     make([]int, len(g.Nodes)),
+		lenTo:      make([]float64, len(g.Nodes)),
+		racerBound: math.MinInt64,
 	}
 	s.futSW = make([]int64, len(s.order)+1)
 	for r := len(s.order) - 1; r >= 0; r-- {
@@ -515,30 +463,11 @@ func (s *searcher) observeStop() {
 	s.obs.Stop(int64(s.stop), s.stop == DeadlineExceeded, s.stop == BudgetStopped, s.stop == Canceled)
 }
 
-// poll checks the stop sources: the engine (shared budget, context, and
-// shared-bound refresh) when attached, the plain context otherwise. It
-// runs at search entry and every ctxCheckInterval visited nodes — on
+// poll checks the context and refreshes the racer bound. It runs at
+// search entry and every ctxCheckInterval visited nodes — on
 // both branches, so a long run of 0-branches or forbidden nodes cannot
 // outlive a cancellation (the old poll fired only on 1-branches).
 func (s *searcher) poll() {
-	if s.eng != nil {
-		if st := s.eng.pollSearch(s.wid, &s.stats, &s.flushMark); st != Exhaustive {
-			s.stop = st
-			s.observeStop()
-			return
-		}
-		if s.eng.sharedOn {
-			if v := s.eng.shared.Load(); v > s.sharedCache {
-				s.sharedCache = v
-			}
-		}
-		s.pollRacer()
-		if s.eng.needWork.Load() {
-			s.tryDonate()
-		}
-		s.flushObs()
-		return
-	}
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
 			s.stop = statusOfCtx(err)
@@ -551,17 +480,17 @@ func (s *searcher) poll() {
 }
 
 // pollRacer folds the iterative racer's published achievable-merit bound
-// into the PruneMerit shared cache. Racer merits are Legal/Evaluate
+// into racerBound, the PruneMerit cutoff. Racer merits are Legal/Evaluate
 // revalidated lower bounds of the optimum and visit's cutoff is strictly
-// `ub < bound`, so — exactly like the engine's shared incumbent bound —
-// the fold can only skip subtrees provably at or below an achievable
-// merit: terminating searches stay bit-identical, only Stats shrink.
+// `ub < bound`, so the fold can only skip subtrees provably at or below
+// an achievable merit: terminating searches stay bit-identical, only
+// Stats shrink.
 func (s *searcher) pollRacer() {
 	if !s.cfg.PruneMerit || s.cfg.race == nil {
 		return
 	}
-	if v := s.cfg.race.boundLoad(); v > s.sharedCache {
-		s.sharedCache = v
+	if v := s.cfg.race.boundLoad(); v > s.racerBound {
+		s.racerBound = v
 	}
 }
 
@@ -708,7 +637,8 @@ func (s *searcher) undoExclude(id int, exclPermIn int) {
 
 // record considers the current cut as an incumbent. The strict
 // comparison keeps the first cut (in search order) of each merit level,
-// which is what makes the parallel merge reproducible.
+// which is what makes seeded and racer-bounded runs return the cold
+// search's cut.
 func (s *searcher) record() {
 	m := s.meritOf()
 	if m <= 0 || (s.bestFound && m <= s.bestMerit) {
@@ -724,11 +654,6 @@ func (s *searcher) record() {
 	s.bestCut = s.currentCut()
 	if s.obs != nil {
 		s.obs.Incumbent(m, s.stats.CutsConsidered, s.curRank)
-	}
-	if s.eng != nil && s.eng.sharedOn {
-		if v := s.eng.publish(m); v > s.sharedCache {
-			s.sharedCache = v
-		}
 	}
 }
 
@@ -746,7 +671,7 @@ func (s *searcher) visit(rank int) {
 	}
 	if s.cfg.PruneMerit {
 		ub := s.meritUB(rank)
-		if (s.bestFound && ub <= s.bestMerit) || ub < s.sharedCache {
+		if (s.bestFound && ub <= s.bestMerit) || ub < s.racerBound {
 			if s.obs != nil {
 				s.boundCuts++
 				s.obs.Bound(rank, s.bestMerit)
@@ -756,17 +681,6 @@ func (s *searcher) visit(rank int) {
 	}
 	id := s.order[rank]
 	node := &s.g.Nodes[id]
-	if s.eng != nil {
-		// What the serial search will decide about this frame's 0-branch
-		// guard, precomputed so tryDonate can tell from an inner frame
-		// (refCnt[id] cannot change inside the subtree: consumers of id
-		// are all at earlier ranks).
-		excl := 0
-		if s.refCnt[id] > 0 {
-			excl = 1
-		}
-		s.zeroOK[rank] = !s.cfg.PruneInputs || s.permIn+excl <= s.cfg.Nin
-	}
 
 	// 1-branch: include the node (Fig. 5 explores it first).
 	if !node.Forbidden {
@@ -784,9 +698,6 @@ func (s *searcher) visit(rank int) {
 				s.record()
 			}
 			if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
-				if s.eng != nil {
-					s.path[rank] = 1
-				}
 				s.visit(rank + 1)
 			}
 		} else {
@@ -799,15 +710,6 @@ func (s *searcher) visit(rank int) {
 	}
 
 	// 0-branch: exclude the node.
-	if s.eng != nil {
-		if s.donated[rank] {
-			// Handed to another worker by tryDonate while this frame's
-			// 1-subtree was being searched.
-			s.donated[rank] = false
-			return
-		}
-		s.path[rank] = 0
-	}
 	exclPermIn := s.applyExclude(id, node)
 	if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
 		s.visit(rank + 1)
@@ -823,47 +725,4 @@ func (s *searcher) currentCut() dfg.Cut {
 		}
 	}
 	return c
-}
-
-// replayStep records one prefix decision for exact unwinding.
-type replayStep struct {
-	id         int
-	include    bool
-	incl       inclUndo
-	exclPermIn int
-}
-
-// replay applies a decision prefix (decision r for rank r; nonzero =
-// include) onto a clean searcher, rebuilding the exact incremental state
-// the serial search would have at that tree position. Prefixes come from
-// engine expansion, which only emits decisions the serial search would
-// descend through, so no feasibility re-checks are needed here.
-func (s *searcher) replay(prefix []uint8) {
-	for r, d := range prefix {
-		id := s.order[r]
-		node := &s.g.Nodes[id]
-		if s.path != nil {
-			s.path[r] = d // tryDonate rebuilds prefixes from path
-		}
-		step := replayStep{id: id, include: d != 0}
-		if step.include {
-			step.incl = s.applyInclude(id, node)
-		} else {
-			step.exclPermIn = s.applyExclude(id, node)
-		}
-		s.replayUndo = append(s.replayUndo, step)
-	}
-}
-
-// unreplay unwinds a replay, restoring the clean state.
-func (s *searcher) unreplay() {
-	for i := len(s.replayUndo) - 1; i >= 0; i-- {
-		st := s.replayUndo[i]
-		if st.include {
-			s.undoInclude(st.id, &s.g.Nodes[st.id], st.incl)
-		} else {
-			s.undoExclude(st.id, st.exclPermIn)
-		}
-	}
-	s.replayUndo = s.replayUndo[:0]
 }

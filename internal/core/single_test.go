@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"isex/internal/dfg"
 	"isex/internal/ir"
 	"isex/internal/latency"
+	"isex/internal/workload"
 )
 
 // mustBuildGraph, mustEnumerateBest and mustCountLegalCuts unwrap the
@@ -356,4 +358,119 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 			t.Fatalf("estimate mismatch: search %v, reference %v", res.Est, ref)
 		}
 	}
+}
+
+// allForbiddenGraph builds a block whose operation nodes are all loads
+// (forbidden), so the search tree consists purely of 0-branches.
+func allForbiddenGraph(t *testing.T, nOps int) *dfg.Graph {
+	t.Helper()
+	b := ir.NewBuilder("forb", 2)
+	v := b.Fn.Params[0]
+	for i := 0; i < nOps; i++ {
+		v = b.Load(v)
+	}
+	b.Ret(v)
+	f := b.Finish()
+	if err := ir.VerifyFunction(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.Entry().Freq = 10
+	return mustBuildGraph(t, f, f.Entry(), ir.Liveness(f))
+}
+
+// TestCancelObservedOnZeroBranches is the regression for the old poll,
+// which fired only on 1-branches: on a graph whose nodes are all
+// forbidden the search used to run to completion under a canceled
+// context without ever observing it. The per-visit tick poll (plus the
+// entry poll) must observe the cancellation regardless of branch mix.
+func TestCancelObservedOnZeroBranches(t *testing.T) {
+	g := allForbiddenGraph(t, 2*ctxCheckInterval)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := FindBestCutCtx(ctx, g, Config{Nin: 3, Nout: 2})
+	if res.Status != Canceled {
+		t.Errorf("single: status %v, want Canceled", res.Status)
+	}
+	if res.Stats.CutsConsidered != 0 {
+		t.Errorf("single: %d cuts considered under pre-canceled ctx", res.Stats.CutsConsidered)
+	}
+	mres := FindBestCutsCtx(ctx, g, 2, Config{Nin: 3, Nout: 2})
+	if mres.Status != Canceled {
+		t.Errorf("multi: status %v, want Canceled", mres.Status)
+	}
+	if mres.Stats.CutsConsidered != 0 {
+		t.Errorf("multi: %d cuts considered under pre-canceled ctx", mres.Stats.CutsConsidered)
+	}
+}
+
+// TestWarmStartSerialIdentical: the serial WarmStart path must return
+// exactly the cold search's cut and merit (the seed sits one merit unit
+// below the heuristic incumbent, so the DFS-first optimum still wins).
+func TestWarmStartSerialIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(409))
+	for trial := 0; trial < 10; trial++ {
+		g := randomGraph(t, rng, 16+rng.Intn(8))
+		cold := FindBestCut(g, Config{Nin: 3, Nout: 2, PruneMerit: true})
+		warm := FindBestCut(g, Config{Nin: 3, Nout: 2, PruneMerit: true, WarmStart: true})
+		if cold.Found != warm.Found || cold.Est.Merit != warm.Est.Merit ||
+			!cold.Cut.Equal(warm.Cut) {
+			t.Fatalf("trial %d: warm %v/%d diverges from cold %v/%d",
+				trial, warm.Cut, warm.Est.Merit, cold.Cut, cold.Est.Merit)
+		}
+	}
+}
+
+// TestWarmStartAdpcm is the paper-scale warm-start contract: on the
+// adpcm decoder's hot block the warm-started pruned search must return
+// the identical optimal cut while strictly shrinking the explored tree.
+// Stats count the exact search alone (the bounded warm pass is charged
+// to neither Stats nor MaxCuts), so the two counters compare the same
+// tree under cold vs seeded incumbents.
+func TestWarmStartAdpcm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second exact search")
+	}
+	g := hotBlock(t, "adpcmdecode")
+	cfg := Config{Nin: 2, Nout: 1, PruneMerit: true}
+	cold := FindBestCut(g, cfg)
+	wcfg := cfg
+	wcfg.WarmStart = true
+	warm := FindBestCut(g, wcfg)
+	if !cold.Found || !warm.Found {
+		t.Fatal("search found nothing")
+	}
+	if cold.Est.Merit != warm.Est.Merit || !cold.Cut.Equal(warm.Cut) {
+		t.Fatalf("warm %v/%d diverges from cold %v/%d",
+			warm.Cut, warm.Est.Merit, cold.Cut, cold.Est.Merit)
+	}
+	if warm.Stats.CutsConsidered >= cold.Stats.CutsConsidered {
+		t.Errorf("warm start did not shrink the search: %d >= %d",
+			warm.Stats.CutsConsidered, cold.Stats.CutsConsidered)
+	}
+	t.Logf("cold %d cuts, warm %d cuts (%.1f%%)", cold.Stats.CutsConsidered,
+		warm.Stats.CutsConsidered,
+		100*float64(warm.Stats.CutsConsidered)/float64(cold.Stats.CutsConsidered))
+}
+
+// hotBlock returns the largest block graph of the named kernel.
+func hotBlock(t *testing.T, kernel string) *dfg.Graph {
+	t.Helper()
+	k := workload.ByName(kernel)
+	if _, err := k.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := workload.RealBlockGraphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hot *workload.BlockInfo
+	for i := range graphs {
+		if graphs[i].Kernel == kernel && (hot == nil || graphs[i].Graph.NumOps() > hot.Graph.NumOps()) {
+			hot = &graphs[i]
+		}
+	}
+	if hot == nil {
+		t.Fatalf("no blocks for kernel %s", kernel)
+	}
+	return hot.Graph
 }

@@ -86,7 +86,6 @@ type KLBenchReport struct {
 	GOARCH    string         `json:"goarch"`
 	NumCPU    int            `json:"num_cpu"`
 	Budget    int64          `json:"budget"`
-	Workers   int            `json:"workers"`
 	Entries   []KLBenchEntry `json:"entries"`
 }
 
@@ -94,8 +93,7 @@ const (
 	// klBenchBudget is the cut budget of the stress rows: generous enough
 	// that g721 at 2/1 terminates with a proven optimum, tight enough that
 	// the wider port configs trip it and the racer's answer matters.
-	klBenchBudget  = 200_000
-	klBenchWorkers = 4
+	klBenchBudget = 200_000
 )
 
 // klBenchPorts are the paper's three microarchitectural port budgets.
@@ -185,13 +183,12 @@ func progenBlock(seed int64, fn, block string) (*dfg.Graph, error) {
 	return nil, fmt.Errorf("experiments: progen seed %d has no block %s/%s", seed, fn, block)
 }
 
-// klBenchConfig is the shared engine configuration of every row: the
-// recommended sound prunings at a fixed worker count, so the only varied
-// dimensions are the ports and the racer.
+// klBenchConfig is the shared search configuration of every row: the
+// serial search with the sound prunings, so the only varied dimensions
+// are the ports and the racer.
 func klBenchConfig(b klBlock, nin, nout int, racer bool) core.Config {
 	return core.Config{Nin: nin, Nout: nout, MaxCuts: b.budget,
-		PruneMerit: true, PruneInputs: true, Workers: klBenchWorkers,
-		ISEGen: racer}
+		PruneMerit: true, PruneInputs: true, ISEGen: racer}
 }
 
 // racerTimes runs one instrumented search and reads two latencies off the
@@ -245,7 +242,6 @@ func KLBench() (*KLBenchReport, error) {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 		Budget:    klBenchBudget,
-		Workers:   klBenchWorkers,
 	}
 
 	measure := func(b klBlock, nin, nout int, racer bool, offMerit int64) (KLBenchEntry, core.Result) {
@@ -334,8 +330,8 @@ func (r *KLBenchReport) WriteJSON(path string) error {
 // KLBenchTable renders the report for terminal output.
 func KLBenchTable(r *KLBenchReport) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Iterative racer benchmark — budget %d cuts, %d workers, %s %s/%s, %d CPU\n\n",
-		r.Budget, r.Workers, r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU)
+	fmt.Fprintf(&sb, "Iterative racer benchmark — budget %d cuts, serial/pruned, %s %s/%s, %d CPU\n\n",
+		r.Budget, r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU)
 	fmt.Fprintf(&sb, "%-28s %4s %5s %6s %10s %7s %14s %10s %7s %8s %8s\n",
 		"block", "ops", "ports", "racer", "ms/op", "merit", "status", "rung", "gap", "t-best", "t-beat")
 	for _, e := range r.Entries {

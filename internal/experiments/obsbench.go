@@ -24,11 +24,11 @@ import (
 //     claim is honest only relative to that floor.
 //   - metrics only: atomic counters on, flight recorder off — the
 //     configuration a long-running service would leave enabled.
-//   - full tracing: metrics plus per-worker flight-recorder rings.
+//   - full tracing: metrics plus per-searcher flight-recorder rings.
 //
 // The isebench command writes the report to BENCH_PR5.json; CI
 // regenerates it per change so the overhead trajectory is tracked like
-// the kernel and engine benches before it.
+// the other benches.
 
 // ObsBenchEntry is one measured (block, probe mode) configuration.
 type ObsBenchEntry struct {
@@ -65,8 +65,7 @@ type ObsBenchReport struct {
 }
 
 // obsBenchKernels are the workloads swept: the hottest block of each. The
-// g721 block is the largest exact search in the suite (the one ParBench
-// measures); fir is a small block where fixed probe costs would loom
+// g721 block is the largest exact search in the suite; fir is a small block where fixed probe costs would loom
 // largest relative to the search itself.
 var obsBenchKernels = []string{"g721", "fir"}
 

@@ -22,9 +22,9 @@ import (
 //
 // The serial rows run the repository's default configuration — the
 // paper-faithful cold greedy drivers of §6.2 (optimal) and §6.3
-// (iterative) with no pruning extensions. The scheduled rows run the
-// recommended production settings: Speculate with Workers=8 and the
-// sound, result-preserving prunings armed (PruneMerit + PruneInputs +
+// (iterative) with no pruning extensions. The scheduled rows run
+// Speculate — one serial search per slot of a GOMAXPROCS-wide CPU pool —
+// with the sound, result-preserving prunings armed (PruneMerit + PruneInputs +
 // WarmStart), so speculative re-identification, warm-started incumbents,
 // and incremental collapse all contribute. A serial/pruned reference row
 // isolates the pruning contribution from the scheduling one. Every row
@@ -33,10 +33,12 @@ import (
 
 // SelBenchEntry is one measured selection configuration.
 type SelBenchEntry struct {
-	Name    string `json:"name"`
-	Driver  string `json:"driver"` // "optimal" or "iterative"
-	Ninstr  int    `json:"ninstr"`
-	Workers int    `json:"workers"`
+	Name   string `json:"name"`
+	Driver string `json:"driver"` // "optimal" or "iterative"
+	Ninstr int    `json:"ninstr"`
+	// Slots is the CPU width the row may use: 1 for the serial rows,
+	// runtime.GOMAXPROCS(0) for the scheduled ones.
+	Slots int `json:"slots"`
 	// NsPerOp is the wall-clock cost of one full selection run.
 	NsPerOp float64 `json:"ns_per_op"`
 	// IdentCalls is the §6.2 currency: identification calls the driver
@@ -76,9 +78,6 @@ type SelBenchReport struct {
 
 // selBenchNinstr are the instruction counts the report sweeps.
 var selBenchNinstr = []int{2, 4, 8}
-
-// selBenchWorkers is the scheduler budget of the scheduled rows.
-const selBenchWorkers = 8
 
 // SelBenchDefault returns the report's default configuration: the
 // benchmark module and port constraints where the cold serial optimal
@@ -123,9 +122,13 @@ func SelBench(benchmark string, nin, nout int) (*SelBenchReport, error) {
 		PruneMerit: true, PruneInputs: true, WarmStart: true}
 	schedCfg := prunedCfg
 	schedCfg.Speculate = true
-	schedCfg.Workers = selBenchWorkers
+	procs := runtime.GOMAXPROCS(0)
 
 	measure := func(name string, d driver, ninstr int, cfg core.Config) (SelBenchEntry, core.SelectionResult, error) {
+		slots := 1
+		if cfg.Speculate {
+			slots = procs
+		}
 		var res core.SelectionResult
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -139,7 +142,7 @@ func SelBench(benchmark string, nin, nout int) (*SelBenchReport, error) {
 			Name:             name,
 			Driver:           d.name,
 			Ninstr:           ninstr,
-			Workers:          cfg.Workers,
+			Slots:            slots,
 			NsPerOp:          float64(r.T.Nanoseconds()) / float64(r.N),
 			IdentCalls:       res.IdentCalls,
 			SpeculativeCalls: res.SpeculativeCalls,
@@ -177,7 +180,7 @@ func SelBench(benchmark string, nin, nout int) (*SelBenchReport, error) {
 				cfg  core.Config
 			}{
 				{fmt.Sprintf("%s/serial/pruned", d.name), prunedCfg},
-				{fmt.Sprintf("%s/scheduled/%dw", d.name, selBenchWorkers), schedCfg},
+				{fmt.Sprintf("%s/scheduled/gomaxprocs=%d", d.name, procs), schedCfg},
 			}
 			for _, row := range rows {
 				e, res, err := measure(row.name, d, ninstr, row.cfg)
@@ -211,14 +214,14 @@ func SelBenchTable(r *SelBenchReport) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Selection scheduler benchmark — %s (Nin=%d Nout=%d), %s %s/%s, %d CPU\n\n",
 		r.Benchmark, r.Nin, r.Nout, r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU)
-	fmt.Fprintf(&sb, "%-24s %7s %12s %6s %6s %6s %8s %10s\n",
+	fmt.Fprintf(&sb, "%-32s %7s %12s %6s %6s %6s %8s %10s\n",
 		"selection", "ninstr", "ms/op", "ident", "spec", "hits", "merit", "speedup")
 	for _, e := range r.Entries {
 		speed := ""
 		if e.SpeedupVsSerial > 0 {
 			speed = fmt.Sprintf("%.2fx", e.SpeedupVsSerial)
 		}
-		fmt.Fprintf(&sb, "%-24s %7d %12.2f %6d %6d %6d %8d %10s\n",
+		fmt.Fprintf(&sb, "%-32s %7d %12.2f %6d %6d %6d %8d %10s\n",
 			e.Name, e.Ninstr, e.NsPerOp/1e6, e.IdentCalls,
 			e.SpeculativeCalls, e.CacheHits, e.TotalMerit, speed)
 	}

@@ -7,13 +7,13 @@
 // reproducible schedule (a list of Rules, optionally generated from a
 // seed by RandomPlan).
 //
-// Determinism contract: given the same schedule and a serial search,
-// the same faults fire at the same hit counts every run. Under a
-// parallel search the *set* of matching sites is still deterministic
-// per goroutine-local counter stream, but interleaving decides which
-// worker trips a shared rule first — which is exactly the
-// nondeterminism chaos tests exist to explore; the schedule (seed)
-// pins everything else so a failure reproduces.
+// Determinism contract: given the same schedule and a serial driver,
+// the same faults fire at the same hit counts every run. Under the
+// Parallel or Speculate drivers the *set* of matching sites is still
+// deterministic per goroutine-local counter stream, but interleaving
+// decides which block search trips a shared rule first — which is
+// exactly the nondeterminism chaos tests exist to explore; the schedule
+// (seed) pins everything else so a failure reproduces.
 package faultinject
 
 import (
@@ -33,11 +33,11 @@ type Action uint8
 
 const (
 	// ActPanic panics with a *Fault from inside the probe call; the
-	// search layers' recovery paths (subproblem guards, block guards)
+	// search layers' recovery paths (rung, block and task guards)
 	// handle it.
 	ActPanic Action = iota
 	// ActDelay sleeps for Rule.Delay inside the probe call, simulating
-	// a stalled worker or a slow allocation.
+	// a descheduled search or a slow allocation.
 	ActDelay
 	// ActCancel trips every context minted by Injector.Context with
 	// context.Canceled.
@@ -245,8 +245,7 @@ func RandomPlan(seed int64, n int) []Rule {
 		obs.SitePrune, obs.SitePrune,
 		obs.SiteIncumbent, obs.SiteIncumbent,
 		obs.SiteSearchBegin, obs.SiteSearchEnd,
-		obs.SiteStop, obs.SiteSteal, obs.SiteDonate, obs.SiteResplit,
-		obs.SiteWarmSeed, obs.SiteRescue, obs.SiteGreedy,
+		obs.SiteStop, obs.SiteWarmSeed, obs.SiteRescue, obs.SiteGreedy,
 		obs.SiteSpecLaunch, obs.SiteSpecAdopt, obs.SiteSpecDiscard,
 		obs.SiteCollapse,
 		obs.SiteToggle, obs.SiteRestart, obs.SiteRacerPublish,

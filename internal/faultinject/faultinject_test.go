@@ -36,7 +36,7 @@ func TestPanicRuleFiresThroughProbe(t *testing.T) {
 	var rec any
 	func() {
 		defer func() { rec = recover() }()
-		p.SearchBegin("f/b", 4, 0)
+		p.SearchBegin("f/b", 4)
 	}()
 	f, ok := rec.(*Fault)
 	if !ok {
@@ -49,7 +49,7 @@ func TestPanicRuleFiresThroughProbe(t *testing.T) {
 		t.Errorf("FiredCount = %d, want 1", n)
 	}
 	// The one-shot rule must not fire again.
-	p.SearchBegin("f/b", 4, 0)
+	p.SearchBegin("f/b", 4)
 	if n := in.FiredCount(); n != 1 {
 		t.Errorf("FiredCount after second hit = %d, want 1", n)
 	}
@@ -61,11 +61,11 @@ func TestPanicRuleFiresThroughProbe(t *testing.T) {
 func TestTagFilter(t *testing.T) {
 	in := New(Rule{Site: obs.SiteSearchBegin, Tag: "hot", Action: ActDelay, Delay: time.Microsecond})
 	p := &obs.Probe{Inj: in}
-	p.SearchBegin("f/cold", 1, 0)
+	p.SearchBegin("f/cold", 1)
 	if n := in.FiredCount(); n != 0 {
 		t.Fatalf("rule fired for non-matching tag: %v", in.Fired())
 	}
-	p.SearchBegin("f/hotloop", 1, 0)
+	p.SearchBegin("f/hotloop", 1)
 	if n := in.FiredCount(); n != 1 {
 		t.Fatalf("FiredCount = %d, want 1", n)
 	}

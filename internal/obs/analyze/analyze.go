@@ -1,13 +1,13 @@
 // Package analyze lifts the flat flight-recorder timeline (internal/obs)
 // into a causal span tree — pipeline stage → DSE cell → block search →
-// worker lane → rescue/racer/greedy rung — and computes attribution
+// searcher lane → rescue/racer/greedy rung — and computes attribution
 // reports over it: where the wall-clock went, which pruning rule earned
 // its keep, what the warm-start/dedup/racer machinery actually paid.
 //
 // The span model costs the recorder nothing new: block searches, stages
 // and cells each allocate one span ID (obs.NextSpan) and parent links
 // ride payload slots of the span's start event (KSearchStart.C,
-// KStageStart.A); worker rings are bound to their search's span once at
+// KStageStart.A); searcher rings are bound to their search's span once at
 // Probe.Attach. The analyzer only ever consumes the merged JSONL form,
 // so it can run post-mortem on any recorded trace (cmd/isetrace) or
 // in-process right after a run (isex -explain, the DSE sweep's per-cell
@@ -17,9 +17,9 @@
 // and keyed by stable names (tags, constraint tuples) — never by raw
 // span IDs, ring IDs or timestamps, which are allocation- and
 // timing-order dependent. The deterministic renderers (WriteExplain,
-// ExplainReport) additionally exclude all timing- and worker-dependent
-// quantities, so their output is byte-identical across worker counts
-// for exhaustive runs; the full renderers (summary, critical path,
+// ExplainReport) additionally exclude all timing- and scheduling-dependent
+// quantities, so their output is byte-identical across GOMAXPROCS and
+// the Parallel driver for exhaustive runs; the full renderers (summary, critical path,
 // lanes) embrace wall-clock and are for humans and fixtures, not for
 // byte comparison across runs.
 package analyze
@@ -39,7 +39,6 @@ var statusNames = []string{
 	"budget-stopped",
 	"deadline-exceeded",
 	"canceled",
-	"stalled",
 	"recovered",
 }
 
@@ -51,7 +50,8 @@ func StatusName(code int64) string {
 	return fmt.Sprintf("status(%d)", code)
 }
 
-// Lane is one worker ring's activity inside one block search. Ring IDs
+// Lane is one searcher ring's activity inside one block search (the
+// exact search's ring, plus one per racer or sub-search that records). Ring IDs
 // are allocation-order dependent; lanes are therefore reported in
 // ring-ID order only inside full (non-deterministic) renderings.
 type Lane struct {
@@ -62,10 +62,6 @@ type Lane struct {
 	Prunes     int64 // feasibility rejections (KPrune)
 	Bounds     int64 // merit-bound cutoffs (KBound)
 	Incumbents int64
-	Steals     int64
-	StolenSubs int64
-	Donates    int64
-	Resplits   int64
 	Stops      int64
 	WarmSeeds  int64
 }
@@ -91,31 +87,23 @@ type Block struct {
 	Parent int64 // stage or cell span, 0 at top level
 	Tag    string
 	Ops    int64
-	// Workers is the engine worker count the search was configured with
-	// (0 = serial); excluded from deterministic renderings.
-	Workers int64
-	StartT  int64
-	EndT    int64
-	Ended   bool
-	Status  int64
-	Merit   int64 // -1 when nothing found
-	Cuts    int64 // cuts considered (from search_end; exact)
+	StartT int64
+	EndT   int64
+	Ended  bool
+	Status int64
+	Merit  int64 // -1 when nothing found
+	Cuts   int64 // cuts considered (from search_end; exact)
 
 	// Ring-derived tallies, summed over lanes. Exact whenever no ring
 	// overflowed during recording (the recorder reports drops at write
-	// time); worker-count-invariant for exhaustive runs without
-	// merit-bound pruning, because the engine partitions the tree.
+	// time).
 	Prunes     int64
 	Bounds     int64
 	Incumbents int64
-	Steals     int64
-	StolenSubs int64
-	Donates    int64
-	Resplits   int64
 
 	Lanes       []*Lane
 	Incumbent   []IncumbentStep
-	WarmMerit   int64 // best warm/engine seed merit observed (0 = none)
+	WarmMerit   int64 // best warm-start seed merit observed (0 = none)
 	SeedMerit   int64 // seed-book hit merit armed for this search (0 = none)
 	SeedPuts    int64
 	SeedRejects int64
@@ -256,7 +244,7 @@ func Build(events []obs.Event) *Analysis {
 			continue
 		case obs.KSearchStart:
 			b := &Block{Span: e.Span, Parent: e.C, Tag: e.Tag, Ops: e.A,
-				Workers: e.B, StartT: e.T, Merit: -1}
+				StartT: e.T, Merit: -1}
 			blocks[e.Span] = b
 			a.Blocks = append(a.Blocks, b)
 			continue
@@ -302,7 +290,7 @@ func Build(events []obs.Event) *Analysis {
 
 // buildBlockEvent folds one block-scoped event into its span.
 func buildBlockEvent(a *Analysis, b *Block, e obs.Event, lane func(*Block, int32, int64) *Lane) {
-	// Ring events update the per-worker lane; ring 0 is the shared sys
+	// Ring events update the per-searcher lane; ring 0 is the shared sys
 	// ring, whose events are coordinator-side.
 	var l *Lane
 	if e.Ring != 0 {
@@ -332,23 +320,6 @@ func buildBlockEvent(a *Analysis, b *Block, e obs.Event, lane func(*Block, int32
 			l.Incumbents++
 		}
 		b.Incumbent = append(b.Incumbent, IncumbentStep{T: e.T, Merit: e.A, Cuts: e.B})
-	case obs.KSteal:
-		b.Steals++
-		b.StolenSubs += e.A
-		if l != nil {
-			l.Steals++
-			l.StolenSubs += e.A
-		}
-	case obs.KDonate:
-		b.Donates++
-		if l != nil {
-			l.Donates++
-		}
-	case obs.KResplit:
-		b.Resplits++
-		if l != nil {
-			l.Resplits++
-		}
 	case obs.KStop:
 		if l != nil {
 			l.Stops++
@@ -424,8 +395,8 @@ func buildStageEvent(s *Stage, e obs.Event) {
 // and cell kinds. The exhaustiveness guard test asserts every obs.Kind
 // is claimed by exactly one level (or explicitly listed as unscoped).
 var blockKinds = []obs.Kind{
-	obs.KSearchEnd, obs.KPrune, obs.KBound, obs.KIncumbent, obs.KSteal,
-	obs.KDonate, obs.KResplit, obs.KStop, obs.KWarmSeed, obs.KRescue,
+	obs.KSearchEnd, obs.KPrune, obs.KBound, obs.KIncumbent, obs.KStop,
+	obs.KWarmSeed, obs.KRescue,
 	obs.KGreedy, obs.KRestart, obs.KToggle, obs.KRacerPublish,
 	obs.KRacerAdopt, obs.KSeedHit, obs.KSeedPut, obs.KSeedReject,
 	obs.KPanic,
@@ -437,7 +408,7 @@ var stageKinds = []obs.Kind{
 }
 
 // unscopedKinds may legitimately appear with span 0 (coordinator events
-// outside any search: the engine watchdog, pool-leak stalls, manual
+// outside any search: the scheduler's pool-leak audit, manual
 // Recorder.Sys calls) and have no per-span attribution.
 var unscopedKinds = []obs.Kind{obs.KStall}
 

@@ -103,7 +103,7 @@ func WriteChrome(w io.Writer, events []obs.Event) error {
 			blockTID[b.Span] = gid*lanesPerGroup + blane
 			span("block "+b.Tag, gid, blane, b.StartT, bend, map[string]any{
 				"ops": b.Ops, "status": StatusName(b.Status),
-				"merit": b.Merit, "cuts": b.Cuts, "workers": b.Workers,
+				"merit": b.Merit, "cuts": b.Cuts,
 			})
 		}
 	}
@@ -132,7 +132,7 @@ func WriteChrome(w io.Writer, events []obs.Event) error {
 		blockTID[b.Span] = lane
 		span("block "+b.Tag, 0, lane, b.StartT, end, map[string]any{
 			"ops": b.Ops, "status": StatusName(b.Status),
-			"merit": b.Merit, "cuts": b.Cuts, "workers": b.Workers,
+			"merit": b.Merit, "cuts": b.Cuts,
 		})
 	}
 

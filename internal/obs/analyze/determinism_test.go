@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"isex/internal/core"
@@ -14,14 +16,14 @@ import (
 
 // TestExplainDeterministicAcrossWorkers is the acceptance-critical
 // property: for exhaustive runs the deterministic attribution report is
-// byte-identical across engine worker counts. PruneMerit stays off so
-// the feasibility-prune tallies are a property of the search tree (PR 3
-// exact-Stats-parity), not of incumbent arrival timing; the recorder is
-// over-provisioned so no ring overflows and the ring-derived tallies
-// are exact.
+// byte-identical across GOMAXPROCS values and with the Parallel block
+// fan-out on or off. PruneMerit stays off so the feasibility-prune
+// tallies are a property of the search tree, not of incumbent arrival
+// timing; the recorder is over-provisioned so no ring overflows and the
+// ring-derived tallies are exact.
 func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs full selections at several worker counts")
+		t.Skip("runs full selections at several GOMAXPROCS values")
 	}
 	k := workload.ByName("fir")
 	if k == nil {
@@ -32,20 +34,26 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var refJSON, refText []byte
-	for _, workers := range []int{1, 2, 8} {
+	for _, run := range []struct {
+		procs    int
+		parallel bool
+	}{{1, false}, {2, false}, {4, false}, {1, true}, {2, true}, {4, true}} {
+		runtime.GOMAXPROCS(run.procs)
+		name := fmt.Sprintf("gomaxprocs=%d parallel=%v", run.procs, run.parallel)
 		probe := &obs.Probe{Rec: obs.NewRecorder(1 << 18)}
 		cfg := core.Config{
 			Nin:       4,
 			Nout:      2,
-			Workers:   workers,
+			Parallel:  run.parallel,
 			WarmStart: true,
 			Probe:     probe,
 		}
 		sel := core.SelectIterativeCtx(context.Background(), m, 2, cfg)
 		for _, b := range sel.Blocks {
 			if b.Status != core.Exhaustive {
-				t.Fatalf("workers=%d: block %s/%s not exhaustive (%v) — the byte-identity contract only covers exhaustive runs", workers, b.Fn, b.Block, b.Status)
+				t.Fatalf("%s: block %s/%s not exhaustive (%v) — the byte-identity contract only covers exhaustive runs", name, b.Fn, b.Block, b.Status)
 			}
 		}
 
@@ -54,7 +62,7 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 		var wire bytes.Buffer
 		events := probe.Rec.Merge()
 		if n := probe.Rec.Dropped(); n > 0 {
-			t.Fatalf("workers=%d: recorder dropped %d events; enlarge the test ring", workers, n)
+			t.Fatalf("%s: recorder dropped %d events; enlarge the test ring", name, n)
 		}
 		if err := obs.WriteJSONL(&wire, events); err != nil {
 			t.Fatal(err)
@@ -77,10 +85,10 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(refJSON, rep) {
-			t.Errorf("explain JSON diverged at workers=%d:\n%s\nvs workers=1:\n%s", workers, rep, refJSON)
+			t.Errorf("explain JSON diverged at %s:\n%s\nvs the first run:\n%s", name, rep, refJSON)
 		}
 		if !bytes.Equal(refText, []byte(text)) {
-			t.Errorf("explain text diverged at workers=%d:\n%s\nvs workers=1:\n%s", workers, text, refText)
+			t.Errorf("explain text diverged at %s:\n%s\nvs the first run:\n%s", name, text, refText)
 		}
 	}
 }

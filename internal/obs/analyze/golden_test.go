@@ -16,10 +16,10 @@ var update = flag.Bool("update", false, "rewrite the golden analyzer outputs fro
 
 // loadFixture parses the committed trace fixture. The fixture is a
 // hand-written timeline that exercises every span level and every
-// block-scoped event kind: a cell with a two-block stage (parallel
+// block-scoped event kind: a cell with a two-block stage (searcher
 // lanes, racer, rescue/greedy rungs, seed-book traffic, a recovered
-// panic), a top-level stage, a top-level block, an unscoped stall and
-// one orphaned ring event.
+// panic), a top-level stage, a top-level block, an unscoped pool-leak
+// stall and one orphaned ring event.
 func loadFixture(t *testing.T) []obs.Event {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "golden.jsonl"))
@@ -35,7 +35,7 @@ func loadFixture(t *testing.T) []obs.Event {
 }
 
 // TestGoldenRenderings pins every analyzer rendering of the committed
-// fixture byte-for-byte: summary, critical path, per-worker lanes, the
+// fixture byte-for-byte: summary, critical path, per-ring lanes, the
 // deterministic explain report (text and JSON), and the Chrome
 // re-export. A diff here means the analyzer's output format changed —
 // regenerate with `go test ./internal/obs/analyze -run Golden -update`
@@ -105,8 +105,8 @@ func TestGoldenSpanTree(t *testing.T) {
 	if b0.Tag != "f/b0" || b0.Merit != 60 || b0.Cuts != 120 {
 		t.Fatalf("b0 = %q merit=%d cuts=%d; want f/b0 60 120", b0.Tag, b0.Merit, b0.Cuts)
 	}
-	if len(b0.Lanes) != 2 || b0.Prunes != 1 || b0.Bounds != 1 || b0.Steals != 1 || b0.StolenSubs != 2 {
-		t.Fatalf("b0 lanes=%d prunes=%d bounds=%d steals=%d stolen=%d", len(b0.Lanes), b0.Prunes, b0.Bounds, b0.Steals, b0.StolenSubs)
+	if len(b0.Lanes) != 1 || b0.Prunes != 1 || b0.Bounds != 1 || b0.Incumbents != 1 {
+		t.Fatalf("b0 lanes=%d prunes=%d bounds=%d incumbents=%d", len(b0.Lanes), b0.Prunes, b0.Bounds, b0.Incumbents)
 	}
 	if len(b0.RacerPubs) != 1 || b0.RacerRestarts != 1 || b0.RacerToggles != 12 {
 		t.Fatalf("b0 racer pubs=%d restarts=%d toggles=%d", len(b0.RacerPubs), b0.RacerRestarts, b0.RacerToggles)

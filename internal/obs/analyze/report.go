@@ -11,10 +11,10 @@ import (
 // Deterministic surface: `isex -explain`.
 //
 // Everything emitted here is a pure function of the search *tree*, not
-// of scheduling: no timestamps, no worker counts, no ring or span IDs,
-// no steal/donate/incumbent-interleaving tallies. For exhaustive runs
-// without the ISEGen racer (which is wall-clock-driven by design) the
-// output is byte-identical across worker counts.
+// of scheduling: no timestamps, no ring or span IDs, no
+// incumbent-interleaving tallies. For exhaustive runs without the ISEGen
+// racer (which is wall-clock-driven by design) the output is
+// byte-identical across GOMAXPROCS and the Parallel driver.
 // ---------------------------------------------------------------------
 
 // ExplainBlock is the deterministic view of one block search.
@@ -65,10 +65,10 @@ type ExplainCell struct {
 }
 
 // ExplainReport is the deterministic attribution report. Trace-size
-// counters (event/orphan/unscoped totals) are deliberately absent: the
-// engine's coordination events (steals, donations, watchdog samples)
-// vary with worker count, so any raw event tally would break the
-// byte-identity contract. They live in the full summary instead.
+// counters (event/orphan/unscoped totals) are deliberately absent:
+// speculative scheduling and ring overflow make raw event tallies
+// timing-dependent, which would break the byte-identity contract. They
+// live in the full summary instead.
 type ExplainReport struct {
 	Schema string         `json:"schema"`
 	Cells  []ExplainCell  `json:"cells,omitempty"`
@@ -263,7 +263,7 @@ func writeExplainBlock(w io.Writer, b ExplainBlock, indent string) {
 }
 
 // ---------------------------------------------------------------------
-// Full surface: cmd/isetrace. Timings, worker lanes, critical paths —
+// Full surface: cmd/isetrace. Timings, ring lanes, critical paths —
 // byte-stable only against a fixed recorded trace.
 // ---------------------------------------------------------------------
 
@@ -336,13 +336,9 @@ func writeSummaryStage(w io.Writer, s *Stage, indent string) {
 }
 
 func writeSummaryBlock(w io.Writer, b *Block, indent string) {
-	fmt.Fprintf(w, "%sblock %s ops=%d wall=%s %s merit=%d cuts=%d workers=%d lanes=%d util=%.1f%%",
+	fmt.Fprintf(w, "%sblock %s ops=%d wall=%s %s merit=%d cuts=%d lanes=%d util=%.1f%%",
 		indent, b.Tag, b.Ops, fmtNS(b.Duration()), StatusName(b.Status),
-		b.Merit, b.Cuts, b.Workers, len(b.Lanes), b.Utilization())
-	if b.Steals+b.Donates+b.Resplits > 0 {
-		fmt.Fprintf(w, " steal=%d(+%d sub) donate=%d resplit=%d",
-			b.Steals, b.StolenSubs, b.Donates, b.Resplits)
-	}
+		b.Merit, b.Cuts, len(b.Lanes), b.Utilization())
 	if len(b.RacerPubs) > 0 {
 		fmt.Fprintf(w, " racer_pubs=%d restarts=%d", len(b.RacerPubs), b.RacerRestarts)
 	}
@@ -352,7 +348,7 @@ func writeSummaryBlock(w io.Writer, b *Block, indent string) {
 	fmt.Fprintln(w)
 }
 
-// WriteLanes renders per-worker lane economics for every block search.
+// WriteLanes renders per-ring lane economics for every block search.
 func WriteLanes(w io.Writer, a *Analysis) {
 	for _, b := range a.Blocks {
 		fmt.Fprintf(w, "block %s wall=%s lanes=%d util=%.1f%%\n",
@@ -362,9 +358,9 @@ func WriteLanes(w io.Writer, a *Analysis) {
 			if active < 0 {
 				active = 0
 			}
-			fmt.Fprintf(w, "  ring %d: active=%s events=%d prune=%d bound=%d inc=%d steal=%d(+%d) donate=%d resplit=%d stop=%d\n",
+			fmt.Fprintf(w, "  ring %d: active=%s events=%d prune=%d bound=%d inc=%d stop=%d\n",
 				l.Ring, fmtNS(active), l.Events, l.Prunes, l.Bounds,
-				l.Incumbents, l.Steals, l.StolenSubs, l.Donates, l.Resplits, l.Stops)
+				l.Incumbents, l.Stops)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package obs is the search telemetry subsystem: a per-worker lock-free
+// Package obs is the search telemetry subsystem: a per-searcher lock-free
 // flight recorder of typed search events, an atomic metrics registry, and
 // the Probe handle that internal/core threads through every search layer.
 //
@@ -23,7 +23,7 @@ type Kind uint8
 
 const (
 	// KSearchStart marks the start of one block search. Tag is
-	// "fn/block", A the operation count, B the worker count.
+	// "fn/block", A the operation count, C the parent span.
 	KSearchStart Kind = iota
 	// KSearchEnd marks the end of one block search. Tag is "fn/block",
 	// A the SearchStatus code, B the merit found (-1 when none), C the
@@ -39,15 +39,6 @@ const (
 	// KBound records a merit-upper-bound subtree cutoff at node rank A
 	// with incumbent B (PruneMerit only).
 	KBound
-	// KSteal records worker Ring stealing A subproblems from victim
-	// worker B.
-	KSteal
-	// KDonate records the emitting worker donating the unexplored
-	// 0-branch at prefix rank A back to the deques.
-	KDonate
-	// KResplit records the emitting worker expanding a shallow
-	// subproblem at depth A into B children instead of searching it.
-	KResplit
 	// KSpecLaunch records the scheduler launching a speculative search.
 	// Tag is "fn/block", A the per-cut limit m (0 for a single-cut or
 	// collapse speculation), B is 1 for a speculative collapse.
@@ -72,15 +63,14 @@ const (
 	// merit A before the exact search starts.
 	KWarmSeed
 	// KPanic records a recovered panic. Tag is "fn/block: message"
-	// (truncated); A is the retry attempt that recovered it (0 for the
-	// block-level guard).
+	// (truncated).
 	KPanic
 	// KGreedy records a greedy last-resort rescue attempt (the bottom
 	// rung of the degradation ladder). Tag is "fn/block", A is 1 when
 	// the rung produced a cut, B its merit, C the candidate count.
 	KGreedy
-	// KStall records the engine watchdog declaring worker A stalled
-	// after B poll-window samples without progress.
+	// KStall records a CPU-pool audit failure: Tag "cpupool-leak", A
+	// the slots still held after every task exited, B the pool size.
 	KStall
 	// KDedup records a cross-block dedup lookup by the selection drivers.
 	// Tag is "fn/block" of the requesting block, A is 1 on a hit (an
@@ -148,9 +138,6 @@ var kindNames = [kindCount]string{
 	KIncumbent:     "incumbent",
 	KPrune:         "prune",
 	KBound:         "bound",
-	KSteal:         "steal",
-	KDonate:        "donate",
-	KResplit:       "resplit",
 	KSpecLaunch:    "spec_launch",
 	KSpecAdopt:     "spec_adopt",
 	KSpecDiscard:   "spec_discard",
@@ -185,7 +172,7 @@ func AllKinds() []Kind {
 	return out
 }
 
-// String returns the stable wire name of the kind ("incumbent", "steal",
+// String returns the stable wire name of the kind ("incumbent", "prune",
 // ...) used by both export formats.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -203,7 +190,7 @@ func (k Kind) String() string {
 // searches, selection stages and DSE cells each allocate one via
 // NextSpan, and parent links ride the payload slots of the span's start
 // event (KSearchStart.C, KStageStart.A, KCellStart.C) — so the flat
-// timeline lifts into the stage → cell → block → worker tree without
+// timeline lifts into the stage → cell → block → ring tree without
 // any per-event parent pointer. Span IDs are process-unique and
 // allocation-order dependent; deterministic analyzer output must never
 // expose raw IDs, only the relations they encode.

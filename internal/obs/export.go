@@ -43,7 +43,7 @@ var kindByName = func() map[string]Kind {
 	return m
 }()
 
-// KindByName resolves a wire name ("incumbent", "steal", ...) back to
+// KindByName resolves a wire name ("incumbent", "prune", ...) back to
 // its Kind; ok is false for unknown names. The decode half of
 // Kind.String, used by the JSONL reader in internal/obs/analyze.
 func KindByName(name string) (Kind, bool) {
@@ -100,14 +100,11 @@ type chromeEvent struct {
 // Total over KindCount — the exhaustiveness guard test fails when a new
 // kind forgets its decode entry ("" marks an unused slot).
 var chromeArgNames = map[Kind][3]string{
-	KSearchStart:   {"ops", "workers", "parent_span"},
+	KSearchStart:   {"ops", "", "parent_span"},
 	KSearchEnd:     {"status", "merit", "cuts"},
 	KIncumbent:     {"merit", "cuts", "rank"},
 	KPrune:         {"rank", "", ""},
 	KBound:         {"rank", "incumbent", ""},
-	KSteal:         {"count", "victim", "deque_depth"},
-	KDonate:        {"rank", "", ""},
-	KResplit:       {"depth", "children", ""},
 	KSpecLaunch:    {"m", "collapse", ""},
 	KSpecAdopt:     {"m", "", ""},
 	KSpecDiscard:   {"reason", "", ""},
@@ -115,9 +112,9 @@ var chromeArgNames = map[Kind][3]string{
 	KRescue:        {"found", "merit", "cuts"},
 	KCollapse:      {"round", "cut_size", ""},
 	KWarmSeed:      {"merit", "", ""},
-	KPanic:         {"attempt", "", ""},
+	KPanic:         {"", "", ""},
 	KGreedy:        {"found", "merit", "candidates"},
-	KStall:         {"worker", "samples", ""},
+	KStall:         {"leaked", "slots", ""},
 	KDedup:         {"hit", "m", ""},
 	KMemoCollision: {"m", "", ""},
 	KToggle:        {"delta", "total", ""},
@@ -148,7 +145,7 @@ func KindHasArgNames(k Kind) bool {
 }
 
 // chrome converts an Event to its trace_event form: a thread-scoped
-// instant on tid = ring id, so the per-worker interleaving is visible
+// instant on tid = ring id, so the per-searcher interleaving is visible
 // on separate tracks.
 func (e Event) chrome() chromeEvent {
 	ce := chromeEvent{

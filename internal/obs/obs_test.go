@@ -52,7 +52,7 @@ func TestRecorderCapacityRounding(t *testing.T) {
 	rec := NewRecorder(100) // rounds up to 128
 	r := rec.NewRing()
 	for i := 0; i < 128; i++ {
-		r.Emit(KDonate, "", 0, 0, 0)
+		r.Emit(KPrune, "", 0, 0, 0)
 	}
 	if r.Dropped() != 0 {
 		t.Fatalf("Dropped = %d, want 0: capacity should round up to 128", r.Dropped())
@@ -65,7 +65,7 @@ func TestMergeOrdersAcrossRings(t *testing.T) {
 	b := rec.NewRing()
 	// Interleave with forced timestamps to make ordering deterministic.
 	a.Emit(KIncumbent, "", 1, 0, 0)
-	b.Emit(KSteal, "", 1, 0, 0)
+	b.Emit(KBound, "", 1, 0, 0)
 	a.Emit(KIncumbent, "", 2, 0, 0)
 	rec.Sys(KCollapse, "sn0", 0, 3, 0)
 	// Overwrite timestamps directly (single-writer rings, test-local).
@@ -90,8 +90,8 @@ func TestMergeTieBreaksByRing(t *testing.T) {
 	rec := NewRecorder(4)
 	a := rec.NewRing() // ring 1
 	b := rec.NewRing() // ring 2
-	b.Emit(KDonate, "", 0, 0, 0)
-	a.Emit(KSteal, "", 0, 0, 0)
+	b.Emit(KPrune, "", 0, 0, 0)
+	a.Emit(KBound, "", 0, 0, 0)
 	a.buf[0].T, b.buf[0].T = 7, 7
 	events := rec.Merge()
 	if events[0].Ring != 1 || events[1].Ring != 2 {
@@ -101,22 +101,22 @@ func TestMergeTieBreaksByRing(t *testing.T) {
 
 func TestRegistryInstruments(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("engine_steals_total")
+	c := reg.Counter("search_incumbents_total")
 	c.Inc()
 	c.Add(4)
-	if reg.Counter("engine_steals_total") != c {
+	if reg.Counter("search_incumbents_total") != c {
 		t.Fatal("Counter lookup must return the same instrument")
 	}
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g := reg.Gauge("engine_workers_active")
+	g := reg.Gauge("test_active")
 	g.Set(8)
 	g.Add(-3)
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
 	}
-	h := reg.Histogram("engine_deque_depth")
+	h := reg.Histogram("test_depth")
 	for _, v := range []int64{0, 1, 2, 3, 900} {
 		h.Observe(v)
 	}
@@ -140,8 +140,8 @@ func TestHistogramBuckets(t *testing.T) {
 func TestPrometheusText(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("search_cuts_considered_total").Add(42)
-	reg.Gauge("engine_workers_active").Set(3)
-	reg.Histogram("engine_deque_depth").Observe(5)
+	reg.Gauge("test_active").Set(3)
+	reg.Histogram("test_depth").Observe(5)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -150,13 +150,13 @@ func TestPrometheusText(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE isex_search_cuts_considered_total counter",
 		"isex_search_cuts_considered_total 42",
-		"# TYPE isex_engine_workers_active gauge",
-		"isex_engine_workers_active 3",
-		"# TYPE isex_engine_deque_depth histogram",
-		`isex_engine_deque_depth_bucket{le="8"} 1`,
-		`isex_engine_deque_depth_bucket{le="+Inf"} 1`,
-		"isex_engine_deque_depth_sum 5",
-		"isex_engine_deque_depth_count 1",
+		"# TYPE isex_test_active gauge",
+		"isex_test_active 3",
+		"# TYPE isex_test_depth histogram",
+		`isex_test_depth_bucket{le="8"} 1`,
+		`isex_test_depth_bucket{le="+Inf"} 1`,
+		"isex_test_depth_sum 5",
+		"isex_test_depth_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
@@ -193,7 +193,6 @@ func TestNilProbeSafety(t *testing.T) {
 		t.Fatal("nil probe HookOf must be nil")
 	}
 	p.Sys(KCollapse, "x", 0, 0, 0)
-	p.Count(func(m *Metrics) *Counter { return m.Collapses })
 
 	var o *SearchObs
 	o.FlushStats(1, 2, 3, 4)
@@ -201,9 +200,6 @@ func TestNilProbeSafety(t *testing.T) {
 	o.Pruned(1)
 	o.Bound(1, 2)
 	o.Stop(2, false, true, false)
-	o.Steal(0, 1, 2)
-	o.Donate(3)
-	o.Resplit(1, 2)
 	o.WarmSeed(9)
 }
 
@@ -278,7 +274,7 @@ func TestWriteJSONL(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	rec := NewRecorder(8)
 	r := rec.NewRing()
-	r.Emit(KSteal, "", 3, 2, 5)
+	r.Emit(KBound, "", 3, 2, 0)
 	r.Emit(KIncumbent, "", 100, 7, 9)
 	var sb strings.Builder
 	if err := WriteChromeTrace(&sb, rec.Merge()); err != nil {
@@ -292,12 +288,12 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatalf("got %d trace events, want 2", len(events))
 	}
 	e := events[0]
-	if e["name"] != "steal" || e["ph"] != "i" || e["tid"] != float64(1) {
+	if e["name"] != "bound" || e["ph"] != "i" || e["tid"] != float64(1) {
 		t.Fatalf("unexpected trace event: %v", e)
 	}
 	args, ok := e["args"].(map[string]any)
-	if !ok || args["count"] != float64(3) || args["victim"] != float64(2) {
-		t.Fatalf("steal args wrong: %v", e["args"])
+	if !ok || args["rank"] != float64(3) || args["incumbent"] != float64(2) {
+		t.Fatalf("bound args wrong: %v", e["args"])
 	}
 }
 

@@ -38,16 +38,8 @@ type Metrics struct {
 	GreedyRescues   *Counter
 	GreedyHits      *Counter
 
-	// Work-stealing engine counters.
-	Steals        *Counter
-	StolenSubs    *Counter
-	Donations     *Counter
-	Resplits      *Counter
-	WarmSeedHits  *Counter
-	WorkerRetries *Counter
-	Stalls        *Counter
-	WorkersActive *Gauge
-	DequeDepth    *Histogram
+	// Warm-start counter.
+	WarmSeedHits *Counter
 
 	// Selection-scheduler counters.
 	SpecLaunches *Counter
@@ -95,15 +87,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		PanicsRecovered: reg.Counter("search_panics_recovered_total"),
 		GreedyRescues:   reg.Counter("search_greedy_rescues_total"),
 		GreedyHits:      reg.Counter("search_greedy_hits_total"),
-		Steals:          reg.Counter("engine_steals_total"),
-		StolenSubs:      reg.Counter("engine_stolen_subproblems_total"),
-		Donations:       reg.Counter("engine_donations_total"),
-		Resplits:        reg.Counter("engine_resplits_total"),
 		WarmSeedHits:    reg.Counter("engine_warm_seed_hits_total"),
-		WorkerRetries:   reg.Counter("engine_worker_retries_total"),
-		Stalls:          reg.Counter("engine_stalls_total"),
-		WorkersActive:   reg.Gauge("engine_workers_active"),
-		DequeDepth:      reg.Histogram("engine_deque_depth"),
 		SpecLaunches:    reg.Counter("sched_spec_launches_total"),
 		SpecAdopts:      reg.Counter("sched_spec_adopts_total"),
 		SpecDiscards:    reg.Counter("sched_spec_discards_total"),
@@ -149,7 +133,7 @@ type Probe struct {
 	// Live, when non-nil, receives a copy of every coordinator-side
 	// (sys-ring) event as it is emitted — the feed behind the live sweep
 	// progress surface. Only the rare block/stage/cell-scoped events flow
-	// through it, never the per-worker ring events, so it stays off the
+	// through it, never the per-searcher ring events, so it stays off the
 	// hot loops. The Event's T is zero (Live consumers track their own
 	// clocks); Live must be safe for concurrent use.
 	Live func(Event)
@@ -231,7 +215,7 @@ func (p *Probe) HookOf() func(fn, block string) {
 
 // Attach binds a new searcher goroutine to the probe, allocating it a
 // private flight-recorder ring stamped with the probe's span (one ring
-// per (block search, worker), so the binding is exact). Returns nil when
+// per (block search, searcher goroutine), so the binding is exact). Returns nil when
 // the probe is nil or fully disabled, so searchers keep a single
 // `s.obs != nil` gate.
 func (p *Probe) Attach() *SearchObs {
@@ -256,19 +240,11 @@ func (p *Probe) Sys(k Kind, tag string, a, b, c int64) {
 	p.sysEmit(k, tag, a, b, c)
 }
 
-// Count increments counter c if metrics are on. Nil-safe.
-func (p *Probe) Count(c func(*Metrics) *Counter) {
-	if p == nil || p.Met == nil {
-		return
-	}
-	c(p.Met).Inc()
-}
-
 // SearchBegin records a panic-guarded block search starting. Tag is
-// "fn/block"; ops and workers describe the searched graph and engine.
+// "fn/block"; ops is the searched graph's operation count.
 // The event carries the probe's span and, in the C slot, its parent —
 // the link the analyzer lifts into the stage/cell → block tree.
-func (p *Probe) SearchBegin(tag string, ops, workers int) {
+func (p *Probe) SearchBegin(tag string, ops int) {
 	if p == nil {
 		return
 	}
@@ -276,7 +252,7 @@ func (p *Probe) SearchBegin(tag string, ops, workers int) {
 	if p.Met != nil {
 		p.Met.Searches.Inc()
 	}
-	p.sysEmit(KSearchStart, tag, int64(ops), int64(workers), p.parent)
+	p.sysEmit(KSearchStart, tag, int64(ops), 0, p.parent)
 }
 
 // SearchEnd records a block search ending with the given status code,
@@ -310,7 +286,7 @@ func (p *Probe) Rescue(tag string, found bool, merit, cuts int64) {
 	p.sysEmit(KRescue, tag, f, merit, cuts)
 }
 
-// WarmSeed records a warm-start pass seeding an engine-level incumbent
+// WarmSeed records a warm-start pass seeding a block-level incumbent
 // (the searcher-side analog is SearchObs.WarmSeed).
 func (p *Probe) WarmSeed(merit int64) {
 	if p == nil {
@@ -419,20 +395,19 @@ func (p *Probe) MemoCollision(tag string, m int) {
 	p.sysEmit(KMemoCollision, tag, int64(m), 0, 0)
 }
 
-// Panic records a recovered panic. Tag is "fn/block" (or a worker
-// label); msg is the panic message, already truncated by the caller;
-// attempt is the retry attempt the panic was recovered on (0 for the
-// block-level guard). No site fires here: the reporting of a fault must
+// Panic records a recovered panic. Tag is "fn/block" (or a driver or
+// task label); msg is the panic message, already truncated by the
+// caller. No site fires here: the reporting of a fault must
 // not itself be a fault-injection point, or a panic-action rule would
 // recurse through its own recovery path.
-func (p *Probe) Panic(tag, msg string, attempt int) {
+func (p *Probe) Panic(tag, msg string) {
 	if p == nil {
 		return
 	}
 	if p.Met != nil {
 		p.Met.PanicsRecovered.Inc()
 	}
-	p.sysEmit(KPanic, tag+": "+msg, int64(attempt), 0, 0)
+	p.sysEmit(KPanic, tag+": "+msg, 0, 0, 0)
 }
 
 // Greedy records a greedy last-resort rescue attempt (the bottom rung
@@ -510,19 +485,6 @@ func (p *Probe) RacerAdopt(tag string, merit, prevMerit int64) {
 		p.Met.RacerAdopted.Inc()
 	}
 	p.sysEmit(KRacerAdopt, tag, merit, prevMerit, 0)
-}
-
-// Stall records the engine watchdog declaring a worker stalled after
-// samples consecutive watchdog windows without poll progress. Like
-// Panic, it is not an injection site.
-func (p *Probe) Stall(wid, samples int) {
-	if p == nil {
-		return
-	}
-	if p.Met != nil {
-		p.Met.Stalls.Inc()
-	}
-	p.sysEmit(KStall, "", int64(wid), int64(samples), 0)
 }
 
 // BeginStage opens a selection-stage span: one per selection-driver
@@ -709,51 +671,6 @@ func (o *SearchObs) Stop(status int64, deadline, budget, canceled bool) {
 	}
 	if o.ring != nil {
 		o.ring.Emit(KStop, "", status, 0, 0)
-	}
-}
-
-// Steal records this searcher stealing n subproblems from victim.
-func (o *SearchObs) Steal(victim, n, depth int64) {
-	if o == nil {
-		return
-	}
-	o.fire(SiteSteal)
-	if o.met != nil {
-		o.met.Steals.Inc()
-		o.met.StolenSubs.Add(n)
-		o.met.DequeDepth.Observe(depth)
-	}
-	if o.ring != nil {
-		o.ring.Emit(KSteal, "", n, victim, depth)
-	}
-}
-
-// Donate records this searcher donating its 0-branch at prefix rank.
-func (o *SearchObs) Donate(rank int) {
-	if o == nil {
-		return
-	}
-	o.fire(SiteDonate)
-	if o.met != nil {
-		o.met.Donations.Inc()
-	}
-	if o.ring != nil {
-		o.ring.Emit(KDonate, "", int64(rank), 0, 0)
-	}
-}
-
-// Resplit records this searcher expanding a shallow subproblem at depth
-// into children child subproblems.
-func (o *SearchObs) Resplit(depth, children int) {
-	if o == nil {
-		return
-	}
-	o.fire(SiteResplit)
-	if o.met != nil {
-		o.met.Resplits.Inc()
-	}
-	if o.ring != nil {
-		o.ring.Emit(KResplit, "", int64(depth), int64(children), 0)
 	}
 }
 

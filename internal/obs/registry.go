@@ -81,8 +81,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 const histBuckets = 18
 
 // Histogram is an atomic power-of-two-bucket histogram. Observe is one
-// bits.Len64 plus two atomic adds — cheap enough for per-steal deque
-// depths, not meant for per-cut rates (those are counters).
+// bits.Len64 plus two atomic adds — cheap enough for per-event sizes,
+// not meant for per-cut rates (those are counters).
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64

@@ -28,7 +28,7 @@ type Ring struct {
 	// indirection.
 	epoch time.Time
 	// span is stamped onto every emitted event: each ring serves exactly
-	// one (block search, worker) pair, so binding the span once at
+	// one (block search, searcher goroutine) pair, so binding the span once at
 	// Probe.Attach keeps the hot Emit path to one extra store.
 	span int64
 }

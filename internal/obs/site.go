@@ -32,14 +32,6 @@ const (
 	// SiteStop fires when a searcher observes a stop condition
 	// (SearchObs.Stop).
 	SiteStop
-	// SiteSteal fires when a worker steals subproblems (SearchObs.Steal).
-	SiteSteal
-	// SiteDonate fires when a worker donates a 0-branch
-	// (SearchObs.Donate).
-	SiteDonate
-	// SiteResplit fires when a worker re-splits a shallow subproblem
-	// (SearchObs.Resplit).
-	SiteResplit
 	// SitePrune fires on feasibility and bound rejections
 	// (SearchObs.Pruned, SearchObs.Bound).
 	SitePrune
@@ -96,9 +88,6 @@ var siteNames = [SiteCount]string{
 	SitePoll:         "poll",
 	SiteIncumbent:    "incumbent",
 	SiteStop:         "stop",
-	SiteSteal:        "steal",
-	SiteDonate:       "donate",
-	SiteResplit:      "resplit",
 	SitePrune:        "prune",
 	SiteWarmSeed:     "warm_seed",
 	SiteSpecLaunch:   "spec_launch",
@@ -134,9 +123,6 @@ var siteMetrics = [SiteCount][]string{
 	SitePoll:         {"search_cuts_considered_total", "search_cuts_passed_total", "search_cuts_pruned_total", "search_bound_cutoffs_total"},
 	SiteIncumbent:    {"search_incumbents_total"},
 	SiteStop:         {"search_deadline_trips_total", "search_budget_trips_total", "search_cancel_trips_total"},
-	SiteSteal:        {"engine_steals_total", "engine_stolen_subproblems_total", "engine_deque_depth"},
-	SiteDonate:       {"engine_donations_total"},
-	SiteResplit:      {"engine_resplits_total"},
 	SitePrune:        {"search_cuts_pruned_total", "search_bound_cutoffs_total"},
 	SiteWarmSeed:     {"engine_warm_seed_hits_total"},
 	SiteSpecLaunch:   {"sched_spec_launches_total"},

@@ -42,17 +42,9 @@ type Constraints struct {
 	Window int
 	// Parallel searches independent basic blocks concurrently.
 	Parallel bool
-	// Workers, when positive, runs each block's exact search on the
-	// work-stealing parallel branch-and-bound engine with that many
-	// workers. Results are bit-identical to the serial search; the engine
-	// additionally warm-starts its shared incumbent bound from the §9
-	// windowed heuristic, so even Workers=1 typically prunes harder than
-	// the serial search.
-	Workers int
-	// WarmStart seeds the serial exact search's incumbent from a cheap §9
+	// WarmStart seeds the exact search's incumbent from a cheap §9
 	// windowed-heuristic pass, tightening merit pruning from the first
-	// visit without changing the result. (The parallel engine warm-starts
-	// on its own; this flag is for the serial path.)
+	// visit without changing the result.
 	WarmStart bool
 	// Dedup shares identification results between isomorphic basic
 	// blocks: graphs are keyed by a canonical hash (dfg.CanonHash), a
@@ -70,8 +62,9 @@ type Constraints struct {
 	// search terminates are bit-identical with the racer on or off.
 	ISEGen bool
 	// Speculate routes the greedy selection drivers through the
-	// speculative scheduler: idle CPU budget (see Workers) re-identifies
-	// likely next-round winners ahead of demand and seeds every search
+	// speculative scheduler: idle CPUs (up to runtime.GOMAXPROCS(0)
+	// concurrent serial searches) re-identify likely next-round winners
+	// ahead of demand and seeds every search
 	// with warm incumbent bounds from the previous round. Selections are
 	// bit-identical to the cold serial drivers; only wall-clock and the
 	// SpeculativeCalls/CacheHits accounting change.
@@ -82,23 +75,12 @@ type Constraints struct {
 	// to the *Ctx variants). Per-block outcomes are reported on the
 	// Selection's BlockStatuses.
 	Deadline time.Duration
-	// StallWindow, when positive and Workers > 0, arms the parallel
-	// engine's watchdog: a worker showing no progress for two
-	// consecutive windows is told to abandon its subproblem, which is
-	// requeued whole for the other workers, and the block's status
-	// degrades to Stalled (sound, but exhaustiveness is no longer
-	// claimed). Size it generously — hundreds of milliseconds at least:
-	// the watchdog cannot distinguish a wedged worker from one an
-	// overloaded machine simply descheduled. 0 disables the watchdog
-	// (the default, preserving the engine's bit-identical guarantee).
-	StallWindow time.Duration
 }
 
 func (c Constraints) config() core.Config {
 	return core.Config{Nin: c.Nin, Nout: c.Nout, MaxCuts: c.MaxCuts,
-		Window: c.Window, Parallel: c.Parallel,
-		Workers: c.Workers, WarmStart: c.WarmStart, Speculate: c.Speculate,
-		Dedup: c.Dedup, ISEGen: c.ISEGen, StallWindow: c.StallWindow}
+		Window: c.Window, Parallel: c.Parallel, WarmStart: c.WarmStart,
+		Speculate: c.Speculate, Dedup: c.Dedup, ISEGen: c.ISEGen}
 }
 
 // SearchStatus classifies how an identification search ended: Exhaustive
@@ -113,7 +95,6 @@ const (
 	BudgetStopped    = core.BudgetStopped
 	DeadlineExceeded = core.DeadlineExceeded
 	Canceled         = core.Canceled
-	Stalled          = core.Stalled
 	Recovered        = core.Recovered
 )
 
