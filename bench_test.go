@@ -188,9 +188,9 @@ func BenchmarkAreaReport(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPruning measures the two optional prunings
-// (extensions beyond the paper; they never change results — see
-// core's tests — only search effort).
+// BenchmarkAblationPruning measures the default prunings against the
+// paper's search (extensions beyond the paper; they never change the
+// result of a terminating search — see core's tests — only search effort).
 func BenchmarkAblationPruning(b *testing.B) {
 	budget := benchBudget()
 	for i := 0; i < b.N; i++ {

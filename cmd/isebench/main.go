@@ -8,7 +8,8 @@
 //
 //	isebench                  # everything, default budgets
 //	isebench -fig 11 -measure # only Fig. 11, with simulator validation
-//	isebench -fig 11 -parallel -dedup -warmstart -prune
+//	isebench -fig 7,8,runtime # several figures in one run
+//	isebench -fig 11 -parallel -dedup -warmstart
 //	                          # Fig. 11 with the search optimizations on
 //	                          # (same numbers, less wall clock)
 //	isebench -budget 10000000 # spend more search effort
@@ -50,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -77,7 +79,6 @@ type cliOpts struct {
 	dedup     bool
 	isegen    bool
 	warmstart bool
-	prune     bool
 
 	// DSE sweep axes.
 	targets     []string
@@ -94,7 +95,7 @@ type cliOpts struct {
 
 func main() {
 	var o cliOpts
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, selbench, obsbench, dedupbench, klbench, analyzebench, dse, dsebench, all")
+	fig := flag.String("fig", "all", "which figures to regenerate, comma-separated: 3, 5, 7, 8, 11, runtime, area, tradeoff, vliw, ifconv, ablation, bench, selbench, obsbench, dedupbench, klbench, analyzebench, dse, dsebench, all")
 	flag.Int64Var(&o.budget, "budget", experiments.DefaultBudget, "cut budget per identification call")
 	flag.BoolVar(&o.measure, "measure", false, "Fig. 11: additionally patch and measure on the cycle simulator")
 	flag.BoolVar(&o.optimal, "optimal", false, "Fig. 11: include the Optimal selection (slow on large blocks)")
@@ -106,7 +107,6 @@ func main() {
 	flag.BoolVar(&o.dedup, "dedup", false, "Fig. 11: cross-block structural dedup")
 	flag.BoolVar(&o.isegen, "isegen", false, "Fig. 11 / DSE: race the Kernighan-Lin toggle engine on exploding blocks (DSE: trades strict reproducibility for anytime quality)")
 	flag.BoolVar(&o.warmstart, "warmstart", false, "Fig. 11: seed each search with a windowed heuristic incumbent")
-	flag.BoolVar(&o.prune, "prune", false, "Fig. 11: enable the sound merit-bound and input-count prunings")
 	targets := flag.String("targets", "paper", "comma-separated hardware-target profiles for the DSE sweep (among "+strings.Join(latency.TargetNames(), ",")+")")
 	flag.StringVar(&o.sweepMode, "sweepmode", "warm", "DSE sweep mode: warm (shared seeds/dedup, parallel) or cold (dedicated serial reference)")
 	flag.StringVar(&o.benchJSON, "benchjson", "", "with -fig bench (or all): write the constraint-kernel benchmark report to this file as JSON (e.g. BENCH_PR2.json)")
@@ -125,7 +125,8 @@ func main() {
 	})
 	o.benches = splitList(*benches)
 	o.targets = splitList(*targets)
-	want := func(name string) bool { return *fig == "all" || *fig == name }
+	figs := splitList(*fig)
+	want := func(name string) bool { return slices.Contains(figs, "all") || slices.Contains(figs, name) }
 	if err := run(want, o); err != nil {
 		fmt.Fprintln(os.Stderr, "isebench:", err)
 		os.Exit(1)
@@ -303,8 +304,6 @@ func run(want func(string) bool, o cliOpts) error {
 		opt.Dedup = o.dedup
 		opt.ISEGen = o.isegen
 		opt.WarmStart = o.warmstart
-		opt.PruneInputs = o.prune
-		opt.PruneMerit = o.prune
 		if !o.optimal {
 			opt.Methods = []experiments.Method{
 				experiments.MethodIterative, experiments.MethodClubbing, experiments.MethodMaxMISO,

@@ -13,7 +13,9 @@
 // Exit codes:
 //
 //	0  success
-//	1  error (bad flags, compile/profile failure, I/O failure, ...)
+//	1  error (bad flags, compile/profile failure, I/O failure, a
+//	   -simulate output check that finds the patched program computing
+//	   something else, ...)
 //	2  -strict was set and the selection degraded below the exact
 //	   search (any per-block status other than "exhaustive": budget,
 //	   deadline, cancellation, or a recovered failure).
@@ -86,7 +88,7 @@ func run() error {
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for identification (e.g. 500ms; 0 = none); on expiry the best selection found so far is reported")
 		strict    = flag.Bool("strict", false, "exit with code 2 when any block's search degraded below the exact algorithm (the report is still written); for CI gates that must not accept lower bounds")
 		unroll    = flag.Int("unroll", 0, "fully unroll counted loops up to this trip count (-src mode)")
-		simulate  = flag.Bool("simulate", false, "patch the selection in and measure the speedup on the cycle simulator")
+		simulate  = flag.Bool("simulate", false, "patch the selection in, measure the speedup on the cycle simulator and check the outputs against the unpatched program")
 		verilogTo = flag.String("verilog", "", "directory to write one Verilog file (+ testbench) per AFU")
 		dotTo     = flag.String("dot", "", "write the hottest block's dataflow graph (best cut highlighted) to this file")
 		showIR    = flag.Bool("ir", false, "dump the preprocessed IR")
@@ -368,18 +370,11 @@ func run() error {
 		return writeIR()
 	}
 
-	var baseCycles int64
+	var baseline *ir.Module
 	if *simulate {
-		fresh, err := freshModule(k, *srcPath, *unroll)
-		if err != nil {
+		if baseline, err = freshModule(k, *srcPath, *unroll); err != nil {
 			return fmt.Errorf("baseline build: %w", err)
 		}
-		runner := &sim.Runner{Model: model, Setup: setupFor(k)}
-		rep, err := runner.Run(fresh, entryFor(k, *entry), argsFor(k, args)...)
-		if err != nil {
-			return fmt.Errorf("baseline simulation: %w", err)
-		}
-		baseCycles = rep.Cycles
 	}
 
 	afus, skipped, err := core.ApplySelection(m, sel.Instructions, model)
@@ -393,13 +388,18 @@ func run() error {
 
 	if *simulate {
 		interp.ClearProfile(m)
-		runner := &sim.Runner{Model: model, Setup: setupFor(k)}
-		rep, err := runner.Run(m, entryFor(k, *entry), argsFor(k, args)...)
-		if err != nil {
-			return fmt.Errorf("patched simulation: %w", err)
+		runner := &sim.Runner{Model: model, Setup: setupFor(k), Outputs: outputsFor(k)}
+		cmp, err := runner.Compare(baseline, m, entryFor(k, *entry), argsFor(k, args)...)
+		var mm *sim.Mismatch
+		if err != nil && !errors.As(err, &mm) {
+			return fmt.Errorf("simulation: %w", err)
 		}
 		fmt.Printf("cycles: %d -> %d  (measured speedup %.3fx)\n",
-			baseCycles, rep.Cycles, float64(baseCycles)/float64(rep.Cycles))
+			cmp.Base.Cycles, cmp.Patched.Cycles, cmp.Speedup())
+		if mm != nil {
+			return fmt.Errorf("output check failed: %w", mm)
+		}
+		fmt.Println("outputs: patched module matches the baseline")
 	}
 
 	if *verilogTo != "" {
@@ -596,6 +596,15 @@ func setupFor(k *workload.Kernel) func(*interp.Env) error {
 		}
 		return nil
 	}
+}
+
+// outputsFor names the globals -simulate compares; a -src program is
+// checked on its return value alone.
+func outputsFor(k *workload.Kernel) []string {
+	if k == nil {
+		return nil
+	}
+	return k.Outputs
 }
 
 func entryFor(k *workload.Kernel, entry string) string {

@@ -28,7 +28,7 @@ import (
 // achievable and therefore a sound lower bound of the optimum:
 //
 //   - The exact search folds the racer's CAS-max bound into its
-//     PruneMerit cutoff at poll cadence (searcher.pollRacer). Pruning
+//     merit-bound cutoff at poll cadence (searcher.pollRacer). Pruning
 //     is strictly `ub < bound`, and recording thresholds are never
 //     touched, so a terminating exact search returns the bit-identical
 //     DFS-first optimum; only Stats can shrink.

@@ -17,36 +17,35 @@ import (
 //     Evaluate merit equals the published merit — an achievable lower
 //     bound of the optimum, never above it.
 //  2. Determinism: on blocks where the exact search terminates, results
-//     are bit-identical with the racer on or off, with and without the
-//     merit bound, the Parallel driver, speculation and dedup.
+//     are bit-identical with the racer on or off, under the Parallel
+//     driver, speculation and dedup.
 
-// TestISEGenTerminatingBitIdentical sweeps pruning with ISEGen on and
-// off: wherever the exact search runs to completion, the racer must
-// change nothing — same cut, same merit, same status, same rung.
+// TestISEGenTerminatingBitIdentical runs the default search with ISEGen
+// on and off: wherever the exact search runs to completion, the racer's
+// bound must change nothing — same cut, same merit, same status, same
+// rung.
 func TestISEGenTerminatingBitIdentical(t *testing.T) {
 	for _, seed := range []int64{3, 5, 9} {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(t, rng, 16+rng.Intn(6))
-		for _, pruned := range []bool{false, true} {
-			label := fmt.Sprintf("seed=%d/pruned=%v", seed, pruned)
-			cfg := Config{Nin: 4, Nout: 2, PruneMerit: pruned}
-			off, obsOff := searchBlockSafe(context.Background(), g, cfg)
-			if off.Status != Exhaustive {
-				t.Fatalf("%s: racer-off reference did not terminate: %v", label, off.Status)
-			}
-			cfg.ISEGen = true
-			on, obsOn := searchBlockSafe(context.Background(), g, cfg)
-			if on.Status != Exhaustive {
-				t.Errorf("%s: racer-on search did not terminate: %v", label, on.Status)
-			}
-			if on.Found != off.Found || on.Est.Merit != off.Est.Merit || !on.Cut.Equal(off.Cut) {
-				t.Errorf("%s: racer-on diverged from racer-off: %v/%d vs %v/%d",
-					label, on.Cut, on.Est.Merit, off.Cut, off.Est.Merit)
-			}
-			if obsOn.Rung != RungExact || obsOn.Rung != obsOff.Rung {
-				t.Errorf("%s: rung %v with racer on, %v without — terminating blocks must stay exact",
-					label, obsOn.Rung, obsOff.Rung)
-			}
+		label := fmt.Sprintf("seed=%d", seed)
+		cfg := Config{Nin: 4, Nout: 2}
+		off, obsOff := searchBlockSafe(context.Background(), g, cfg)
+		if off.Status != Exhaustive {
+			t.Fatalf("%s: racer-off reference did not terminate: %v", label, off.Status)
+		}
+		cfg.ISEGen = true
+		on, obsOn := searchBlockSafe(context.Background(), g, cfg)
+		if on.Status != Exhaustive {
+			t.Errorf("%s: racer-on search did not terminate: %v", label, on.Status)
+		}
+		if on.Found != off.Found || on.Est.Merit != off.Est.Merit || !on.Cut.Equal(off.Cut) {
+			t.Errorf("%s: racer-on diverged from racer-off: %v/%d vs %v/%d",
+				label, on.Cut, on.Est.Merit, off.Cut, off.Est.Merit)
+		}
+		if obsOn.Rung != RungExact || obsOn.Rung != obsOff.Rung {
+			t.Errorf("%s: rung %v with racer on, %v without — terminating blocks must stay exact",
+				label, obsOn.Rung, obsOff.Rung)
 		}
 	}
 }
@@ -98,7 +97,7 @@ func TestISEGenPublicationSound(t *testing.T) {
 func TestISEGenAdoptionOnBudgetStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(t, rng, 34)
-	cfg := Config{Nin: 4, Nout: 2, MaxCuts: 64, ISEGen: true, PruneMerit: true}
+	cfg := Config{Nin: 4, Nout: 2, MaxCuts: 64, ISEGen: true}
 	res, bs := searchBlockSafe(context.Background(), g, cfg)
 	if bs.Status == Exhaustive {
 		t.Fatalf("budget of 64 cuts did not trip on a 34-op block (status %v)", bs.Status)
@@ -127,7 +126,7 @@ func TestISEGenAdoptionOnBudgetStop(t *testing.T) {
 func TestISEGenGapOnTerminating(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomGraph(t, rng, 20)
-	cfg := Config{Nin: 4, Nout: 2, ISEGen: true, PruneMerit: true}
+	cfg := Config{Nin: 4, Nout: 2, ISEGen: true}
 	sawGap := false
 	for i := 0; i < 20 && !sawGap; i++ {
 		res, bs := searchBlockSafe(context.Background(), g, cfg)
@@ -155,7 +154,7 @@ func TestISEGenGapOnTerminating(t *testing.T) {
 // selections must be bit-identical to the racer-off serial reference.
 func TestISEGenSelectionIdentical(t *testing.T) {
 	mod := compileAndProfile(t, threeKernels)
-	base := Config{Nin: 4, Nout: 2, PruneMerit: true}
+	base := Config{Nin: 4, Nout: 2}
 	ref := SelectIterativeCtx(context.Background(), mod, 4, base)
 	if ref.Status != Exhaustive {
 		t.Fatalf("reference selection not exhaustive: %v", ref.Status)
@@ -227,7 +226,7 @@ func TestISEGenRacerProbes(t *testing.T) {
 func TestISEGenMultiTerminatingBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := randomGraph(t, rng, 14)
-	cfg := Config{Nin: 3, Nout: 2, PruneMerit: true}
+	cfg := Config{Nin: 3, Nout: 2}
 	off, _ := searchBlockMultiSafe(context.Background(), g, 2, cfg)
 	if off.Status != Exhaustive {
 		t.Fatalf("racer-off reference did not terminate: %v", off.Status)

@@ -93,6 +93,7 @@ type multiSearcher struct {
 	refCnt [][]int
 	lenTo  [][]float64
 	inputs []int
+	permIn []int // per cut: inputs that can never be absorbed on this path
 	out    []int
 	sw     []int64
 	crit   []float64
@@ -102,8 +103,8 @@ type multiSearcher struct {
 	// ranks ≥ rank. Each future node joins at most one cut and raises
 	// that cut's merit by at most sw(op)·freq (hardware cycles never
 	// shrink, and a cut opened later still pays ≥ 1 cycle), so
-	// totalMerit() + futSW[rank]·freq is an admissible bound for
-	// PruneMerit on the (M+1)-ary tree too.
+	// totalMerit() + futSW[rank]·freq is an admissible merit bound on
+	// the (M+1)-ary tree too.
 	futSW []int64
 
 	// bestFound/bestMerit form the recording threshold; bestCuts is the
@@ -137,6 +138,7 @@ func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 		m:          m,
 		assign:     make([]int, len(g.Nodes)),
 		inputs:     make([]int, m+1),
+		permIn:     make([]int, m+1),
 		out:        make([]int, m+1),
 		sw:         make([]int64, m+1),
 		crit:       make([]float64, m+1),
@@ -168,7 +170,7 @@ func newMultiSearcher(g *dfg.Graph, m int, cfg Config) *multiSearcher {
 // with searcher.seedIncumbent, the threshold is W−1 with the witness
 // kept, so the first assignment of merit ≥ W found in search order still
 // replaces the seed and the returned result stays bit-identical to a
-// cold run; only PruneMerit exploits the raised bar.
+// cold run; only the merit bound exploits the raised bar.
 func (s *multiSearcher) seedAssignment(cuts []dfg.Cut, merit int64) {
 	if s.bestFound && merit-1 <= s.bestMerit {
 		return
@@ -219,13 +221,13 @@ func (s *multiSearcher) poll() {
 }
 
 // pollRacer folds the iterative racer's published single-cut merit into
-// racerBound, the PruneMerit cutoff. Sound on the (M+1)-ary tree too: the
+// racerBound, the merit-bound cutoff. Sound on the (M+1)-ary tree too: the
 // racer's cut alone is a feasible assignment (the other cuts stay
 // empty), so its revalidated merit is an achievable lower bound of the
 // optimal total merit, and the strict `ub < bound` cutoff can never
 // prune the DFS-first optimal assignment.
 func (s *multiSearcher) pollRacer() {
-	if !s.cfg.PruneMerit || s.cfg.race == nil {
+	if s.cfg.race == nil {
 		return
 	}
 	if v := s.cfg.race.boundLoad(); v > s.racerBound {
@@ -274,7 +276,7 @@ func (s *multiSearcher) visit(rank int) {
 			return
 		}
 	}
-	if s.cfg.PruneMerit {
+	if !s.cfg.Paper {
 		ub := s.totalMerit() + s.futSW[rank]*s.freq
 		if (s.bestFound && ub <= s.bestMerit) || ub < s.racerBound {
 			if s.obs != nil {
@@ -305,7 +307,11 @@ func (s *multiSearcher) visit(rank int) {
 
 	// 0-branch: update reach for every cut.
 	saved := s.applyExcludeReach(id)
-	s.visit(rank + 1)
+	s.markPermanent(id, 0, 1)
+	if s.inputsFeasible() {
+		s.visit(rank + 1)
+	}
+	s.markPermanent(id, 0, -1)
 	s.undoExcludeReach(id, saved)
 }
 
@@ -324,6 +330,35 @@ func (s *multiSearcher) undoExcludeReach(id int, saved []bool) {
 	for k := 1; k <= s.m; k++ {
 		s.reach[k][id] = saved[k]
 	}
+}
+
+// markPermanent adds delta to the permanent-input count of every cut
+// other than k that consumes node id: once id is decided (into cut k, or
+// out of every cut when k is 0) it can never join them. Its consumers
+// are all decided before it, so the set of consuming cuts is the same
+// when the decision is undone.
+func (s *multiSearcher) markPermanent(id, k, delta int) {
+	for j := 1; j <= s.m; j++ {
+		if j != k && s.refCnt[j][id] > 0 {
+			s.permIn[j] += delta
+		}
+	}
+}
+
+// inputsFeasible reports whether every cut can still meet Nin. Permanent
+// inputs only accumulate along the search order, so a cut over Nin stays
+// over it in the whole subtree and no assignment there can be recorded.
+// Always true on the paper's search (Config.Paper).
+func (s *multiSearcher) inputsFeasible() bool {
+	if s.cfg.Paper {
+		return true
+	}
+	for k := 1; k <= s.m; k++ {
+		if s.permIn[k] > s.cfg.Nin {
+			return false
+		}
+	}
+	return true
 }
 
 // reachVia reports whether any successor of id can reach cut k.
@@ -362,11 +397,12 @@ type assignUndo struct {
 	savedReach []bool
 	isOut      bool
 	absorbed   bool
+	newPermIn  int
 	prevCrit   float64
 }
 
 // applyAssign puts node id into cut k, updating the incremental per-cut
-// IN/OUT, software-latency and critical-path state.
+// IN/OUT, software-latency, permanent-input and critical-path state.
 func (s *multiSearcher) applyAssign(id int, node *dfg.Node, k int) assignUndo {
 	u := assignUndo{savedReach: make([]bool, s.m+1)}
 	s.assign[id] = k
@@ -396,8 +432,13 @@ func (s *multiSearcher) applyAssign(id int, node *dfg.Node, k int) assignUndo {
 		s.refCnt[k][p]++
 		if s.refCnt[k][p] == 1 && s.assign[p] != k {
 			s.inputs[k]++
+			if s.g.Nodes[p].Kind == dfg.KindIn {
+				u.newPermIn++ // live-ins can never join the cut
+			}
 		}
 	}
+	s.permIn[k] += u.newPermIn
+	s.markPermanent(id, k, 1)
 	s.sw[k] += int64(s.model.SW(node.Op))
 	best := 0.0
 	for _, sc := range node.Succs {
@@ -417,6 +458,8 @@ func (s *multiSearcher) undoAssign(id int, node *dfg.Node, k int, u assignUndo) 
 	s.crit[k] = u.prevCrit
 	s.lenTo[k][id] = 0
 	s.sw[k] -= int64(s.model.SW(node.Op))
+	s.markPermanent(id, k, -1)
+	s.permIn[k] -= u.newPermIn
 	for _, p := range node.Preds {
 		if s.refCnt[k][p] == 1 && s.assign[p] != k {
 			s.inputs[k]--
@@ -443,7 +486,9 @@ func (s *multiSearcher) tryInclude(rank, id, k int) {
 	if convOK && s.out[k] <= s.cfg.Nout {
 		s.stats.Passed++
 		s.maybeRecord()
-		s.visit(rank + 1)
+		if s.inputsFeasible() {
+			s.visit(rank + 1)
+		}
 	} else {
 		s.stats.Pruned++
 		if s.obs != nil {

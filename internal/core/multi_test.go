@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"isex/internal/dfg"
@@ -74,6 +75,11 @@ func TestMultiCutMatchesBruteForce(t *testing.T) {
 				if gotMerit != want {
 					t.Fatalf("trial %d m=%d (%d,%d): merit %d, brute force %d (cuts %v)",
 						trial, m, c.nin, c.nout, gotMerit, want, got.Cuts)
+				}
+				cfg.Paper = true
+				if paper := FindBestCuts(g, m, cfg); !reflect.DeepEqual(paper.Cuts, got.Cuts) {
+					t.Fatalf("trial %d m=%d (%d,%d): default search cuts %v, paper search %v",
+						trial, m, c.nin, c.nout, got.Cuts, paper.Cuts)
 				}
 			}
 		}
@@ -255,7 +261,7 @@ func reachesCut(g *dfg.Graph, from, to dfg.Cut) bool {
 
 func TestMultiCutStats(t *testing.T) {
 	g, _ := fig4Graph(t)
-	res := FindBestCuts(g, 2, Config{Nin: 8, Nout: 1})
+	res := FindBestCuts(g, 2, Config{Nin: 8, Nout: 1, Paper: true})
 	if res.Stats.CutsConsidered <= 11 {
 		t.Errorf("M=2 should consider more cuts than M=1's 11, got %d", res.Stats.CutsConsidered)
 	}

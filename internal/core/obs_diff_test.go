@@ -25,14 +25,11 @@ func fullProbe() *obs.Probe {
 	}
 }
 
-// diffConfig builds the search config for one sweep point. Pruned mirrors
-// the benches' pruned configuration (merit bound + permanent-input bound
-// + warm start).
+// diffConfig builds the search config for one sweep point: the paper's
+// unpruned search, or the default pruned search plus warm start.
 func diffConfig(pruned bool) Config {
-	cfg := Config{Nin: 6, Nout: 2}
+	cfg := Config{Nin: 6, Nout: 2, Paper: !pruned}
 	if pruned {
-		cfg.PruneMerit = true
-		cfg.PruneInputs = true
 		cfg.WarmStart = true
 	}
 	return cfg
@@ -143,7 +140,7 @@ func TestObsDifferentialSelection(t *testing.T) {
 
 // TestObsDifferentialISEGen: with the iterative racer on, tracing must
 // still not change what a terminating block search returns. Stats are
-// not compared when PruneMerit is set — the racer's bound arrives at
+// compared only on the paper's unpruned search — the racer's bound arrives at
 // timing-dependent polls, which may change visit counts but never the
 // result. BlockStatus.RacerMerit is likewise timing-dependent and
 // excluded.

@@ -17,8 +17,8 @@ import (
 // same total merit, same per-block statuses, and the same IdentCalls —
 // the §6.2 currency must not be inflated by speculation. Stats are
 // compared only when wantStats is set (they are guaranteed identical
-// only with PruneMerit off; pruned runs explore a different, never
-// unsound, portion of the tree).
+// only on the paper's unpruned search, Config.Paper; pruned runs explore
+// a different, never unsound, portion of the tree).
 func assertSelectionsEqual(t *testing.T, label string, want, got SelectionResult, wantStats bool) {
 	t.Helper()
 	if got.TotalMerit != want.TotalMerit {
@@ -73,14 +73,14 @@ func TestScheduledSelectionDeterministic(t *testing.T) {
 	variants := []struct {
 		name string
 		cfg  Config
-		// Stats are exactly serial only without PruneMerit (seeds and the
-		// shared bound then cannot change the explored tree).
+		// Stats are exactly serial only on the paper's unpruned search
+		// (seeds and the shared bound then cannot change the explored tree).
 		exactStats bool
 	}{
 		// Narrow ports keep the unpruned exact trees small, so the full
 		// width sweep stays cheap enough for the -short -race CI run.
-		{"narrow-plain", Config{Nin: 2, Nout: 1}, true},
-		{"wide-pruned", Config{Nin: 4, Nout: 2, PruneInputs: true, PruneMerit: true, WarmStart: true}, false},
+		{"narrow-plain", Config{Nin: 2, Nout: 1, Paper: true}, true},
+		{"wide-pruned", Config{Nin: 4, Nout: 2, WarmStart: true}, false},
 	}
 	if !testing.Short() && !raceEnabled {
 		// The wide unpruned configuration costs ~10 s for the serial
@@ -91,7 +91,7 @@ func TestScheduledSelectionDeterministic(t *testing.T) {
 			name       string
 			cfg        Config
 			exactStats bool
-		}{"wide-plain", Config{Nin: 4, Nout: 2}, true})
+		}{"wide-plain", Config{Nin: 4, Nout: 2, Paper: true}, true})
 	}
 	for _, v := range variants {
 		optSerial := SelectOptimal(m, 4, v.cfg)
@@ -242,7 +242,7 @@ func TestSpeculateAloneSpeculates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Nin: 2, Nout: 1}
+	cfg := Config{Nin: 2, Nout: 1, Paper: true}
 	cold := SelectOptimalCtx(context.Background(), m, 8, cfg)
 	if cold.Status != Exhaustive {
 		t.Fatalf("cold serial reference not exhaustive: %v", cold.Status)

@@ -18,19 +18,26 @@ type Config struct {
 	// If nil, latency.Default() is used.
 	Model *latency.Model
 
-	// Extensions beyond the paper, off by default (used in ablations):
-
-	// PruneInputs additionally eliminates subtrees whose cut already uses
-	// more than Nin *permanent* inputs — values that can never be
-	// absorbed into the cut (block live-ins, and producers already
-	// excluded on this search path). Sound because such inputs only
-	// accumulate along the search order.
-	PruneInputs bool
-	// PruneMerit additionally eliminates subtrees whose admissible merit
-	// upper bound (current software gain plus all remaining includable
-	// software latency, minus the current hardware cycle count) cannot
-	// beat the incumbent.
-	PruneMerit bool
+	// Paper runs the exact search exactly as §6.1 describes it, cutting
+	// subtrees only on output ports and convexity. By default the search
+	// also applies two prunings beyond the paper, both result-preserving
+	// on terminating searches (same cut, same merit; only Stats shrink):
+	//
+	//   - input count: both exact searches drop subtrees where a cut
+	//     already uses more than Nin *permanent* inputs — values that can
+	//     never be absorbed into the cut (block live-ins, and producers
+	//     already decided out of it on this search path). Sound because
+	//     such inputs only accumulate along the search order.
+	//   - merit bound: both exact searches drop subtrees whose admissible
+	//     merit upper bound (current software gain plus all remaining
+	//     includable software latency, minus the current hardware cycle
+	//     count) cannot beat the incumbent or the iterative racer's
+	//     published bound.
+	//
+	// Paper turns both off. It exists so the paper-reproduction figures
+	// (Fig. 3, 7, 8, the run-time table and the ablation's "paper"
+	// column) keep their published cut counts.
+	Paper bool
 	// StrictInterCut, in multiple-cut identification, rejects assignments
 	// whose cuts depend on each other cyclically (they could not be
 	// scheduled as atomic instructions). The paper performs only per-cut
@@ -52,11 +59,11 @@ type Config struct {
 	// Results are identical to the serial run.
 	Parallel bool
 	// WarmStart seeds the exact search's incumbent from a cheap §9
-	// windowed-heuristic pass before the search starts, so PruneMerit
-	// bites from the first node. The seed is applied at one merit unit
-	// below the heuristic's best, which provably leaves the returned cut
-	// and merit identical to a cold search while strictly shrinking the
-	// explored tree. The warm pass is bounded by 2^warmWindow cuts per
+	// windowed-heuristic pass before the search starts, so the merit
+	// bound bites from the first node. The seed is applied at one merit
+	// unit below the heuristic's best, which provably leaves the returned
+	// cut and merit identical to a cold search while strictly shrinking
+	// the explored tree. The warm pass is bounded by 2^warmWindow cuts per
 	// window and is charged against neither MaxCuts nor the returned
 	// Stats — the Stats describe the exact search alone, so a warm and a
 	// cold run are directly comparable on the same tree.
@@ -94,10 +101,11 @@ type Config struct {
 	// isegen.go) against the exact search on blocks larger than the §9
 	// fallback window. The racer publishes Legal/Evaluate-revalidated
 	// incumbents into a CAS-max shared bound that the exact search folds
-	// into its PruneMerit cutoff at poll cadence — soundly, so terminating
-	// exact searches stay bit-identical with the racer on or off — and
-	// the anytime ladder adopts the racer's best answer (RungIterative)
-	// only when the exact search did not terminate. Off by default.
+	// into its merit-bound cutoff at poll cadence — soundly, so
+	// terminating exact searches stay bit-identical with the racer on or
+	// off — and the anytime ladder adopts the racer's best answer
+	// (RungIterative) only when the exact search did not terminate. Off
+	// by default.
 	ISEGen bool
 	// Seeds, when non-nil, warm-starts every exact single-cut search from
 	// the best stored cut for the graph's fingerprint and publishes each
@@ -143,7 +151,7 @@ type Config struct {
 
 	// race attaches the block's iterative racer (package-internal; set by
 	// the anytime layer when ISEGen launches one). The searcher folds
-	// race.bound into its PruneMerit cutoff at poll cadence and the
+	// race.bound into its merit-bound cutoff at poll cadence and the
 	// warm-start paths exchange seeds with it. Recursive passes that
 	// search Restrict views (windowed heuristic, warm pass) must nil it:
 	// a full-graph bound is not sound on a window.
@@ -362,7 +370,7 @@ type searcher struct {
 	crit   float64
 
 	// futSW[rank] is the total software latency of includable nodes at
-	// ranks ≥ rank (admissible bound for PruneMerit).
+	// ranks ≥ rank (the admissible merit bound).
 	futSW []int64
 
 	bestFound bool
@@ -381,7 +389,7 @@ type searcher struct {
 
 	// obs is the searcher's telemetry attachment (nil when observability
 	// is off — the only cost is then the nil checks at the probe
-	// points). boundCuts counts PruneMerit subtree cutoffs; it is only
+	// points). boundCuts counts merit-bound subtree cutoffs; it is only
 	// maintained while observed, feeding the metrics registry via
 	// flushObs, never the search itself.
 	obs       *obs.SearchObs
@@ -425,8 +433,8 @@ func newSearcher(g *dfg.Graph, cfg Config) *searcher {
 // scheduler-supplied) result of merit W: the threshold is W−1, so any cut
 // of merit ≥ W — including the first one the cold search would have
 // recorded — still replaces the seed, which keeps the returned cut
-// bit-identical to a cold run while PruneMerit skips everything provably
-// below W. When the searcher already carries a seed, only a strictly
+// bit-identical to a cold run while the merit bound skips everything
+// provably below W. When the searcher already carries a seed, only a strictly
 // better one replaces it.
 func (s *searcher) seedIncumbent(w Result) {
 	if s.bestFound && w.Est.Merit-1 <= s.bestMerit {
@@ -480,13 +488,13 @@ func (s *searcher) poll() {
 }
 
 // pollRacer folds the iterative racer's published achievable-merit bound
-// into racerBound, the PruneMerit cutoff. Racer merits are Legal/Evaluate
+// into racerBound, the merit-bound cutoff. Racer merits are Legal/Evaluate
 // revalidated lower bounds of the optimum and visit's cutoff is strictly
 // `ub < bound`, so the fold can only skip subtrees provably at or below
 // an achievable merit: terminating searches stay bit-identical, only
 // Stats shrink.
 func (s *searcher) pollRacer() {
-	if !s.cfg.PruneMerit || s.cfg.race == nil {
+	if s.cfg.race == nil {
 		return
 	}
 	if v := s.cfg.race.boundLoad(); v > s.racerBound {
@@ -506,7 +514,7 @@ func (s *searcher) meritOf() int64 {
 
 // meritUB is the admissible upper bound of the subtree rooted at rank:
 // current software gain plus all remaining includable software latency,
-// minus the current hardware cycle count (PruneMerit).
+// minus the current hardware cycle count.
 func (s *searcher) meritUB(rank int) int64 {
 	return (s.sw + s.futSW[rank] - int64(latency.CyclesOf(s.crit))) * s.freq
 }
@@ -669,7 +677,7 @@ func (s *searcher) visit(rank int) {
 			return
 		}
 	}
-	if s.cfg.PruneMerit {
+	if !s.cfg.Paper {
 		ub := s.meritUB(rank)
 		if (s.bestFound && ub <= s.bestMerit) || ub < s.racerBound {
 			if s.obs != nil {
@@ -697,7 +705,7 @@ func (s *searcher) visit(rank int) {
 			if s.inputs <= s.cfg.Nin {
 				s.record()
 			}
-			if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
+			if s.cfg.Paper || s.permIn <= s.cfg.Nin {
 				s.visit(rank + 1)
 			}
 		} else {
@@ -711,7 +719,7 @@ func (s *searcher) visit(rank int) {
 
 	// 0-branch: exclude the node.
 	exclPermIn := s.applyExclude(id, node)
-	if !s.cfg.PruneInputs || s.permIn <= s.cfg.Nin {
+	if s.cfg.Paper || s.permIn <= s.cfg.Nin {
 		s.visit(rank + 1)
 	}
 	s.undoExclude(id, exclPermIn)

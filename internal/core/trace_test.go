@@ -64,7 +64,7 @@ func TestTraceMatchesSearchStats(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := randomGraph(t, rng, 4+rng.Intn(8))
 		for _, c := range []struct{ nin, nout int }{{100, 1}, {100, 2}, {100, 3}} {
-			cfg := Config{Nin: c.nin, Nout: c.nout}
+			cfg := Config{Nin: c.nin, Nout: c.nout, Paper: true}
 			res, err := TraceSearchTree(g, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -73,9 +73,9 @@ func TestWindowedIgnoresConfigWindow(t *testing.T) {
 	}
 }
 
-// TestWindowedOnLargeBlock: on the adpcm decoder body (which the exact
-// search needs ~1.6M cuts for at (2,1)), the windowed heuristic finds a
-// high-quality cut with a small fraction of the effort.
+// TestWindowedOnLargeBlock: on the adpcm decoder body (which the paper's
+// exact search needs ~1.6M cuts for at (2,1)), the windowed heuristic
+// finds a high-quality cut with a small fraction of the effort.
 func TestWindowedOnLargeBlock(t *testing.T) {
 	k := workload.ByName("adpcmdecode")
 	m, err := k.Prepare()
@@ -93,7 +93,7 @@ func TestWindowedOnLargeBlock(t *testing.T) {
 			hot = &graphs[i]
 		}
 	}
-	cfg := Config{Nin: 2, Nout: 1}
+	cfg := Config{Nin: 2, Nout: 1, Paper: true}
 	exact := FindBestCut(hot.Graph, cfg)
 	heur := FindBestCutWindowed(hot.Graph, cfg, 24)
 	if !heur.Found {

@@ -467,22 +467,21 @@ func (s *sweeper) runChain(ctx context.Context, bi, ti int) chainOut {
 	return out
 }
 
-// cellConfig builds a cell's search configuration. The search-semantics
-// knobs (prunings, warm start, budget, ISEGen) are identical in warm
-// and cold mode — that is what makes the two modes' completed searches
-// bit-identical; warm mode adds only the result-preserving sharing
-// machinery (seeds, shared dedup, parallel block passes, pool gating).
+// cellConfig builds a cell's search configuration: the default pruned
+// search. The search-semantics knobs (warm start, budget, ISEGen) are
+// identical in warm and cold mode — that is what makes the two modes'
+// completed searches bit-identical; warm mode adds only the
+// result-preserving sharing machinery (seeds, shared dedup, parallel
+// block passes, pool gating).
 func (s *sweeper) cellConfigProbe(c [2]int, model *latency.Model, probe *obs.Probe) core.Config {
 	return core.Config{
-		Nin:         c[0],
-		Nout:        c[1],
-		Model:       model,
-		MaxCuts:     s.opt.Budget,
-		PruneInputs: true,
-		PruneMerit:  true,
-		WarmStart:   true,
-		ISEGen:      s.opt.ISEGen,
-		Probe:       probe,
+		Nin:       c[0],
+		Nout:      c[1],
+		Model:     model,
+		MaxCuts:   s.opt.Budget,
+		WarmStart: true,
+		ISEGen:    s.opt.ISEGen,
+		Probe:     probe,
 	}
 }
 

@@ -145,15 +145,14 @@ type CompareOptions struct {
 	// runs the selection scheduler with speculative lookahead;
 	// Dedup adopts results across isomorphic blocks; ISEGen races the
 	// Kernighan–Lin toggle engine on exploding blocks; WarmStart seeds
-	// each search with a windowed heuristic incumbent; PruneInputs and
-	// PruneMerit enable the §6.1 input-count and merit-bound prunings.
-	Parallel    bool
-	Speculate   bool
-	Dedup       bool
-	ISEGen      bool
-	WarmStart   bool
-	PruneInputs bool
-	PruneMerit  bool
+	// each search with a windowed heuristic incumbent; Paper turns off
+	// the default input-count and merit-bound prunings (core.Config.Paper).
+	Parallel  bool
+	Speculate bool
+	Dedup     bool
+	ISEGen    bool
+	WarmStart bool
+	Paper     bool
 }
 
 // DefaultCompareOptions mirrors the paper's setup: three benchmarks,
@@ -199,8 +198,7 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
 				Parallel: opt.Parallel, Speculate: opt.Speculate, Dedup: opt.Dedup,
-				ISEGen: opt.ISEGen, WarmStart: opt.WarmStart,
-				PruneInputs: opt.PruneInputs, PruneMerit: opt.PruneMerit,
+				ISEGen: opt.ISEGen, WarmStart: opt.WarmStart, Paper: opt.Paper,
 			}
 			for _, n := range opt.Ninstr {
 				row := ComparisonRow{

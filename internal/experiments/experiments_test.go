@@ -125,6 +125,29 @@ func TestCompareSmall(t *testing.T) {
 	if !strings.Contains(out, "Iterative(sim)") {
 		t.Error("comparison table malformed")
 	}
+
+	// The paper's unpruned search finds the same speedups wherever both
+	// searches complete.
+	opt.Paper, opt.Measure = true, false
+	paper, err := Compare(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for i, r := range rows {
+		d, p := r.Cells[MethodIterative], paper[i].Cells[MethodIterative]
+		if d.Aborted || p.Aborted {
+			continue
+		}
+		compared++
+		if d.Speedup != p.Speedup {
+			t.Errorf("(%d,%d,%d): default search %.3f, paper search %.3f",
+				r.Nin, r.Nout, r.Ninstr, d.Speedup, p.Speedup)
+		}
+	}
+	if compared == 0 {
+		t.Error("no cell completed under both searches")
+	}
 }
 
 func TestCompareGapGrowsWithPorts(t *testing.T) {
@@ -192,19 +215,12 @@ func TestAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	if r.InputPrune > r.Baseline || r.MeritPrune > r.Baseline || r.BothPrune > min64(r.InputPrune, r.MeritPrune) {
+	if r.Default > r.Paper {
 		t.Errorf("pruning increased work: %+v", r)
 	}
-	if !strings.Contains(AblationTable(rows), "+both") {
+	if !strings.Contains(AblationTable(rows), "default") {
 		t.Error("ablation table malformed")
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestFig5TreeRenders(t *testing.T) {

@@ -49,7 +49,7 @@ func Fig3(budget int64) ([]Fig3Row, error) {
 	model := latency.Default()
 	var rows []Fig3Row
 	for _, c := range [][2]int{{2, 1}, {3, 1}, {4, 2}, {6, 3}} {
-		res := core.FindBestCut(g, core.Config{Nin: c[0], Nout: c[1], Model: model, MaxCuts: budget})
+		res := core.FindBestCut(g, core.Config{Nin: c[0], Nout: c[1], Model: model, MaxCuts: budget, Paper: true})
 		row := Fig3Row{Nin: c[0], Nout: c[1]}
 		if res.Found {
 			row.Size = res.Est.Size
@@ -139,7 +139,7 @@ func Fig7() (Fig7Result, error) {
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	res := core.FindBestCut(g, core.Config{Nin: 100, Nout: 1})
+	res := core.FindBestCut(g, core.Config{Nin: 100, Nout: 1, Paper: true})
 	return Fig7Result{
 		Considered: res.Stats.CutsConsidered,
 		Passed:     res.Stats.Passed,
@@ -191,7 +191,7 @@ func Fig8(budget int64) ([]Fig8Point, error) {
 		if cand < 2 {
 			continue // nothing identifiable in this block
 		}
-		res := core.FindBestCut(bi.Graph, core.Config{Nin: 1 << 30, Nout: 2, MaxCuts: budget})
+		res := core.FindBestCut(bi.Graph, core.Config{Nin: 1 << 30, Nout: 2, MaxCuts: budget, Paper: true})
 		points = append(points, Fig8Point{
 			Kernel: bi.Kernel, Fn: bi.Fn, Block: bi.Block,
 			N: bi.Graph.NumOps(), Cuts: res.Stats.CutsConsidered,
@@ -270,7 +270,7 @@ func Runtime(benchmarks []string, constraints [][2]int, ninstr int, budget int64
 			return nil, err
 		}
 		for _, c := range constraints {
-			cfg := core.Config{Nin: c[0], Nout: c[1], MaxCuts: budget}
+			cfg := core.Config{Nin: c[0], Nout: c[1], MaxCuts: budget, Paper: true}
 			var sel core.SelectionResult
 			d := Timed(func() { sel = core.SelectIterative(m, ninstr, cfg) })
 			rows = append(rows, RuntimeRow{
@@ -347,18 +347,17 @@ func AreaTable(rows []AreaRow) string {
 // ---------------------------------------------------------------------------
 // Ablations (extensions beyond the paper, DESIGN.md §6).
 
-// AblationRow contrasts search effort with optional prunings.
+// AblationRow contrasts the search effort of the paper's search with
+// the default one.
 type AblationRow struct {
-	Benchmark  string
-	Nin, Nout  int
-	Baseline   int64 // cuts considered, paper configuration
-	InputPrune int64
-	MeritPrune int64
-	BothPrune  int64
+	Benchmark string
+	Nin, Nout int
+	Paper     int64 // cuts considered, paper configuration (Config.Paper)
+	Default   int64 // cuts considered with the default prunings
 }
 
-// Ablation measures how the two optional prunings shrink the search on
-// each benchmark's hottest block.
+// Ablation measures how the default input-count and merit-bound
+// prunings shrink the search on each benchmark's hottest block.
 func Ablation(benchmarks []string, constraints [][2]int, budget int64) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, bname := range benchmarks {
@@ -375,17 +374,13 @@ func Ablation(benchmarks []string, constraints [][2]int, budget int64) ([]Ablati
 			return nil, fmt.Errorf("experiments: no identifiable block in %q", bname)
 		}
 		for _, c := range constraints {
-			mk := func(pi, pm bool) int64 {
-				cfg := core.Config{Nin: c[0], Nout: c[1], MaxCuts: budget,
-					PruneInputs: pi, PruneMerit: pm}
+			mk := func(paper bool) int64 {
+				cfg := core.Config{Nin: c[0], Nout: c[1], MaxCuts: budget, Paper: paper}
 				return core.FindBestCut(g, cfg).Stats.CutsConsidered
 			}
 			rows = append(rows, AblationRow{
 				Benchmark: bname, Nin: c[0], Nout: c[1],
-				Baseline:   mk(false, false),
-				InputPrune: mk(true, false),
-				MeritPrune: mk(false, true),
-				BothPrune:  mk(true, true),
+				Paper: mk(true), Default: mk(false),
 			})
 		}
 	}
@@ -395,11 +390,11 @@ func Ablation(benchmarks []string, constraints [][2]int, budget int64) ([]Ablati
 // AblationTable renders ablation rows.
 func AblationTable(rows []AblationRow) string {
 	t := &report.Table{
-		Title:  "Ablation — cuts considered with optional prunings (hot block)",
-		Header: []string{"benchmark", "Nin", "Nout", "paper", "+input", "+merit", "+both"},
+		Title:  "Ablation — cuts considered, paper search vs default prunings (hot block)",
+		Header: []string{"benchmark", "Nin", "Nout", "paper", "default"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Benchmark, r.Nin, r.Nout, r.Baseline, r.InputPrune, r.MeritPrune, r.BothPrune)
+		t.AddRow(r.Benchmark, r.Nin, r.Nout, r.Paper, r.Default)
 	}
 	return t.String()
 }

@@ -184,11 +184,10 @@ func progenBlock(seed int64, fn, block string) (*dfg.Graph, error) {
 }
 
 // klBenchConfig is the shared search configuration of every row: the
-// serial search with the sound prunings, so the only varied dimensions
-// are the ports and the racer.
+// default (pruned) serial search, so the only varied dimensions are the
+// ports and the racer.
 func klBenchConfig(b klBlock, nin, nout int, racer bool) core.Config {
-	return core.Config{Nin: nin, Nout: nout, MaxCuts: b.budget,
-		PruneMerit: true, PruneInputs: true, ISEGen: racer}
+	return core.Config{Nin: nin, Nout: nout, MaxCuts: b.budget, ISEGen: racer}
 }
 
 // racerTimes runs one instrumented search and reads two latencies off the

@@ -20,13 +20,13 @@ import (
 // command writes the report to BENCH_PR4.json so the repository carries a
 // comparable perf trajectory from PR to PR; CI regenerates it per change.
 //
-// The serial rows run the repository's default configuration — the
-// paper-faithful cold greedy drivers of §6.2 (optimal) and §6.3
-// (iterative) with no pruning extensions. The scheduled rows run
-// Speculate — one serial search per slot of a GOMAXPROCS-wide CPU pool —
-// with the sound, result-preserving prunings armed (PruneMerit + PruneInputs +
-// WarmStart), so speculative re-identification, warm-started incumbents,
-// and incremental collapse all contribute. A serial/pruned reference row
+// The serial rows run the paper-faithful cold greedy drivers of §6.2
+// (optimal) and §6.3 (iterative) with no pruning extensions
+// (core.Config.Paper). The scheduled rows run Speculate — one serial
+// search per slot of a GOMAXPROCS-wide CPU pool — on the default search,
+// whose sound, result-preserving prunings are always on, plus WarmStart,
+// so speculative re-identification, warm-started incumbents, and
+// incremental collapse all contribute. A serial/pruned reference row
 // isolates the pruning contribution from the scheduling one. Every row
 // must return the identical selection — the report regenerates in CI and
 // fails on any divergence.
@@ -117,9 +117,8 @@ func SelBench(benchmark string, nin, nout int) (*SelBenchReport, error) {
 		{"optimal", core.SelectOptimal},
 		{"iterative", core.SelectIterative},
 	}
-	serialCfg := core.Config{Nin: nin, Nout: nout}
-	prunedCfg := core.Config{Nin: nin, Nout: nout,
-		PruneMerit: true, PruneInputs: true, WarmStart: true}
+	serialCfg := core.Config{Nin: nin, Nout: nout, Paper: true}
+	prunedCfg := core.Config{Nin: nin, Nout: nout, WarmStart: true}
 	schedCfg := prunedCfg
 	schedCfg.Speculate = true
 	procs := runtime.GOMAXPROCS(0)

@@ -17,8 +17,8 @@ import (
 // TestExplainDeterministicAcrossWorkers is the acceptance-critical
 // property: for exhaustive runs the deterministic attribution report is
 // byte-identical across GOMAXPROCS values and with the Parallel block
-// fan-out on or off. PruneMerit stays off so the feasibility-prune
-// tallies are a property of the search tree, not of incumbent arrival
+// fan-out on or off. The search runs the paper's unpruned variant
+// (Config.Paper) so the feasibility-prune tallies are a property of the search tree, not of incumbent arrival
 // timing; the recorder is over-provisioned so no ring overflows and the
 // ring-derived tallies are exact.
 func TestExplainDeterministicAcrossWorkers(t *testing.T) {
@@ -46,6 +46,7 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 		cfg := core.Config{
 			Nin:       4,
 			Nout:      2,
+			Paper:     true,
 			Parallel:  run.parallel,
 			WarmStart: true,
 			Probe:     probe,

@@ -34,6 +34,9 @@ type Report struct {
 	// Ret is the entry function's return value (if any).
 	Ret    int32
 	HasRet bool
+	// Outputs holds a copy of each global named in Runner.Outputs, taken
+	// after the run.
+	Outputs map[string][]int32
 }
 
 // Runner executes modules under the cycle model.
@@ -44,6 +47,9 @@ type Runner struct {
 	Setup func(env *interp.Env) error
 	// StepLimit bounds execution (0 = interp default).
 	StepLimit int64
+	// Outputs names the globals the program computes (a kernel's
+	// Outputs). Run captures them and Compare checks them word by word.
+	Outputs []string
 }
 
 // Run executes entry(args...) on m and returns the cycle report.
@@ -88,6 +94,16 @@ func (r *Runner) Run(m *ir.Module, entry string, args ...int32) (*Report, error)
 	}
 	rep.Ret = ret
 	rep.HasRet = hasRet
+	if len(r.Outputs) > 0 {
+		rep.Outputs = make(map[string][]int32, len(r.Outputs))
+	}
+	for _, name := range r.Outputs {
+		g, err := env.GlobalSlice(name)
+		if err != nil {
+			return nil, fmt.Errorf("sim: output: %w", err)
+		}
+		rep.Outputs[name] = append([]int32(nil), g...)
+	}
 	return rep, nil
 }
 
@@ -107,7 +123,31 @@ func (c Comparison) Speedup() float64 {
 // Saved is the absolute cycle gain.
 func (c Comparison) Saved() int64 { return c.Base.Cycles - c.Patched.Cycles }
 
+// Mismatch is the first output word on which a patched run differs from
+// its baseline.
+type Mismatch struct {
+	// Output is "return value" or the name of an output global.
+	Output string
+	// Index is the word's position in the global (0 for the return value).
+	Index         int
+	Base, Patched int32
+}
+
+func (m *Mismatch) Error() string {
+	if m.Output == retOutput {
+		return fmt.Sprintf("sim: patched module returns %d, baseline %d", m.Patched, m.Base)
+	}
+	return fmt.Sprintf("sim: patched module computes %s[%d] = %d, baseline %d",
+		m.Output, m.Index, m.Patched, m.Base)
+}
+
+const retOutput = "return value"
+
 // Compare runs entry on both modules (same setup) and pairs the reports.
+// It then checks that the patched module computes what the baseline
+// does: the return value, then every Runner.Outputs global in order. On
+// the first differing word it returns the complete Comparison together
+// with a *Mismatch error naming that word.
 func (r *Runner) Compare(base, patched *ir.Module, entry string, args ...int32) (Comparison, error) {
 	rb, err := r.Run(base, entry, args...)
 	if err != nil {
@@ -117,5 +157,30 @@ func (r *Runner) Compare(base, patched *ir.Module, entry string, args ...int32) 
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{Base: rb, Patched: rp}, nil
+	cmp := Comparison{Base: rb, Patched: rp}
+	if mm := r.firstMismatch(rb, rp); mm != nil {
+		return cmp, mm
+	}
+	return cmp, nil
+}
+
+// firstMismatch returns the first output word on which b and p differ,
+// or nil when they agree.
+func (r *Runner) firstMismatch(b, p *Report) *Mismatch {
+	if b.HasRet != p.HasRet || b.Ret != p.Ret {
+		return &Mismatch{Output: retOutput, Base: b.Ret, Patched: p.Ret}
+	}
+	for _, name := range r.Outputs {
+		bv, pv := b.Outputs[name], p.Outputs[name]
+		for i := range bv {
+			if i >= len(pv) || bv[i] != pv[i] {
+				mm := &Mismatch{Output: name, Index: i, Base: bv[i]}
+				if i < len(pv) {
+					mm.Patched = pv[i]
+				}
+				return mm
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"isex/internal/core"
@@ -122,14 +123,7 @@ func TestMeasuredSpeedupMatchesEstimate(t *testing.T) {
 				}
 			}
 
-			r := &Runner{Setup: func(env *interp.Env) error {
-				for name, vals := range k.Inputs {
-					if err := env.SetGlobal(name, vals); err != nil {
-						return err
-					}
-				}
-				return nil
-			}}
+			r := &Runner{Setup: kernelSetup(k), Outputs: k.Outputs}
 			cmp, err := r.Compare(base, m, k.Entry, k.Args...)
 			if err != nil {
 				t.Fatal(err)
@@ -172,14 +166,7 @@ func TestPerturbedModelStillGains(t *testing.T) {
 		t.Fatal(err)
 	}
 	interp.ClearProfile(m)
-	r := &Runner{Model: pert, Setup: func(env *interp.Env) error {
-		for name, vals := range k.Inputs {
-			if err := env.SetGlobal(name, vals); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
+	r := &Runner{Model: pert, Setup: kernelSetup(k), Outputs: k.Outputs}
 	cmp, err := r.Compare(base, m, k.Entry, k.Args...)
 	if err != nil {
 		t.Fatal(err)
@@ -187,4 +174,108 @@ func TestPerturbedModelStillGains(t *testing.T) {
 	if cmp.Speedup() <= 1.0 {
 		t.Errorf("perturbed speedup %.3f", cmp.Speedup())
 	}
+}
+
+// kernelSetup installs the kernel's input globals.
+func kernelSetup(k *workload.Kernel) func(*interp.Env) error {
+	return func(env *interp.Env) error {
+		for name, vals := range k.Inputs {
+			if err := env.SetGlobal(name, vals); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// macModule returns f(a, b, c) computed by one custom instruction whose
+// second operation is op (OpAdd computes a*b + c).
+func macModule(op ir.Op) *ir.Module {
+	m := &ir.Module{}
+	afu := m.AddAFU(ir.AFUDef{
+		Name: "mac", NumIn: 3, NumSlots: 5,
+		Body: []ir.AFUOp{
+			{Op: ir.OpMul, A: 0, B: 1, Dst: 3},
+			{Op: op, A: 3, B: 2, Dst: 4},
+		},
+		OutSlots: []int{4},
+		Latency:  2,
+	})
+	b := ir.NewBuilder("f", 3)
+	d := b.Fn.NewReg()
+	b.Emit(ir.Instr{Op: ir.OpCustom, AFU: afu, Dsts: []ir.Reg{d},
+		Args: []ir.Reg{b.Fn.Params[0], b.Fn.Params[1], b.Fn.Params[2]}})
+	b.Ret(d)
+	m.Funcs = append(m.Funcs, b.Finish())
+	return m
+}
+
+// TestCompareReturnMismatch: a patched module returning a different value
+// fails the comparison, which still carries both cycle reports.
+func TestCompareReturnMismatch(t *testing.T) {
+	r := &Runner{}
+	if _, err := r.Compare(macModule(ir.OpAdd), macModule(ir.OpAdd), "f", 3, 4, 5); err != nil {
+		t.Fatalf("identical modules: %v", err)
+	}
+	cmp, err := r.Compare(macModule(ir.OpAdd), macModule(ir.OpSub), "f", 3, 4, 5)
+	var mm *Mismatch
+	if !errors.As(err, &mm) {
+		t.Fatalf("corrupted return value not detected: %v", err)
+	}
+	if mm.Output != "return value" || mm.Base != 17 || mm.Patched != 7 {
+		t.Errorf("mismatch %+v, want return value 17 vs 7", *mm)
+	}
+	if cmp.Base == nil || cmp.Patched == nil {
+		t.Error("comparison reports missing on mismatch")
+	}
+}
+
+// TestCompareOutputMismatch patches fir, checks the patched module is
+// output-equivalent, then corrupts one custom instruction and expects
+// Compare to name the first differing word of the output array.
+func TestCompareOutputMismatch(t *testing.T) {
+	k := workload.FIR()
+	base, err := k.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := k.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := core.SelectIterative(m, 4, core.Config{Nin: 4, Nout: 2})
+	afus, _, err := core.ApplySelection(m, sel.Instructions, nil)
+	if err != nil || len(afus) == 0 {
+		t.Fatalf("patching: %d AFUs, %v", len(afus), err)
+	}
+	interp.ClearProfile(m)
+	r := &Runner{Setup: kernelSetup(k), Outputs: k.Outputs}
+	if _, err := r.Compare(base, m, k.Entry, k.Args...); err != nil {
+		t.Fatalf("correctly patched fir: %v", err)
+	}
+
+	// Turn the multiplications of the patched datapaths into additions:
+	// the filter taps now compute something else, while loop control
+	// (which never multiplies) is untouched.
+	corrupted := 0
+	for i := range m.AFUs {
+		for j := range m.AFUs[i].Body {
+			if op := &m.AFUs[i].Body[j]; op.Op == ir.OpMul {
+				op.Op = ir.OpAdd
+				corrupted++
+			}
+		}
+	}
+	if corrupted == 0 {
+		t.Fatal("no patched datapath multiplies; nothing to corrupt")
+	}
+	_, err = r.Compare(base, m, k.Entry, k.Args...)
+	var mm *Mismatch
+	if !errors.As(err, &mm) {
+		t.Fatalf("corrupted fir output not detected: %v", err)
+	}
+	if mm.Output != "y" || mm.Base == mm.Patched {
+		t.Errorf("mismatch %+v, want a differing word of y", *mm)
+	}
+	t.Log(err)
 }
