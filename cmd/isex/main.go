@@ -370,9 +370,9 @@ func run() error {
 		return writeIR()
 	}
 
-	var baseline *ir.Module
+	var baseMod *ir.Module
 	if *simulate {
-		if baseline, err = freshModule(k, *srcPath, *unroll); err != nil {
+		if baseMod, err = freshModule(k, *srcPath, *unroll); err != nil {
 			return fmt.Errorf("baseline build: %w", err)
 		}
 	}
@@ -389,7 +389,7 @@ func run() error {
 	if *simulate {
 		interp.ClearProfile(m)
 		runner := &sim.Runner{Model: model, Setup: setupFor(k), Outputs: outputsFor(k)}
-		cmp, err := runner.Compare(baseline, m, entryFor(k, *entry), argsFor(k, args)...)
+		cmp, err := runner.Compare(baseMod, m, entryFor(k, *entry), argsFor(k, args)...)
 		var mm *sim.Mismatch
 		if err != nil && !errors.As(err, &mm) {
 			return fmt.Errorf("simulation: %w", err)

@@ -336,8 +336,12 @@ func (s *multiSearcher) undoExcludeReach(id int, saved []bool) {
 // other than k that consumes node id: once id is decided (into cut k, or
 // out of every cut when k is 0) it can never join them. Its consumers
 // are all decided before it, so the set of consuming cuts is the same
-// when the decision is undone.
+// when the decision is undone. A no-op on the paper's search
+// (Config.Paper), which never reads the counts.
 func (s *multiSearcher) markPermanent(id, k, delta int) {
+	if s.cfg.Paper {
+		return
+	}
 	for j := 1; j <= s.m; j++ {
 		if j != k && s.refCnt[j][id] > 0 {
 			s.permIn[j] += delta

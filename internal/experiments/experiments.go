@@ -145,14 +145,12 @@ type CompareOptions struct {
 	// runs the selection scheduler with speculative lookahead;
 	// Dedup adopts results across isomorphic blocks; ISEGen races the
 	// Kernighan–Lin toggle engine on exploding blocks; WarmStart seeds
-	// each search with a windowed heuristic incumbent; Paper turns off
-	// the default input-count and merit-bound prunings (core.Config.Paper).
+	// each search with a windowed heuristic incumbent.
 	Parallel  bool
 	Speculate bool
 	Dedup     bool
 	ISEGen    bool
 	WarmStart bool
-	Paper     bool
 }
 
 // DefaultCompareOptions mirrors the paper's setup: three benchmarks,
@@ -198,7 +196,7 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
 				Parallel: opt.Parallel, Speculate: opt.Speculate, Dedup: opt.Dedup,
-				ISEGen: opt.ISEGen, WarmStart: opt.WarmStart, Paper: opt.Paper,
+				ISEGen: opt.ISEGen, WarmStart: opt.WarmStart,
 			}
 			for _, n := range opt.Ninstr {
 				row := ComparisonRow{

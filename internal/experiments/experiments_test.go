@@ -125,29 +125,6 @@ func TestCompareSmall(t *testing.T) {
 	if !strings.Contains(out, "Iterative(sim)") {
 		t.Error("comparison table malformed")
 	}
-
-	// The paper's unpruned search finds the same speedups wherever both
-	// searches complete.
-	opt.Paper, opt.Measure = true, false
-	paper, err := Compare(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compared := 0
-	for i, r := range rows {
-		d, p := r.Cells[MethodIterative], paper[i].Cells[MethodIterative]
-		if d.Aborted || p.Aborted {
-			continue
-		}
-		compared++
-		if d.Speedup != p.Speedup {
-			t.Errorf("(%d,%d,%d): default search %.3f, paper search %.3f",
-				r.Nin, r.Nout, r.Ninstr, d.Speedup, p.Speedup)
-		}
-	}
-	if compared == 0 {
-		t.Error("no cell completed under both searches")
-	}
 }
 
 func TestCompareGapGrowsWithPorts(t *testing.T) {

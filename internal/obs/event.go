@@ -37,7 +37,7 @@ const (
 	// node rank A.
 	KPrune
 	// KBound records a merit-upper-bound subtree cutoff at node rank A
-	// with incumbent B (PruneMerit only).
+	// with incumbent B (default search; never under Config.Paper).
 	KBound
 	// KSpecLaunch records the scheduler launching a speculative search.
 	// Tag is "fn/block", A the per-cut limit m (0 for a single-cut or
