@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"isex/internal/dfg"
+	"isex/internal/ir"
 	"isex/internal/obs"
 )
 
@@ -86,16 +88,41 @@ func assertDedupEquivalent(t *testing.T, label string, want, got SelectionResult
 	}
 }
 
+// renamedCopies merges `copies` compilations of a progen seed's program
+// into one module, the copies' functions renamed: a repeated-blocks
+// corpus. It is only identified over, never executed, so every block
+// weighs one execution and dedup must cope with uniform weights too.
+func renamedCopies(t *testing.T, seed int64, copies int) *ir.Module {
+	t.Helper()
+	merged := compileProgen(t, seed)
+	for c := 1; c < copies; c++ {
+		for _, f := range compileProgen(t, seed).Funcs {
+			f.Name = fmt.Sprintf("%s_r%d", f.Name, c)
+			merged.Funcs = append(merged.Funcs, f)
+		}
+	}
+	return merged
+}
+
 // TestDedupSelectionEquality is the dedup acceptance sweep: for both
 // drivers, with and without the Parallel driver and the speculative
-// scheduler, -dedup selections equal the -dedup=false reference.
+// scheduler, -dedup selections equal the -dedup=false reference, on two
+// profiled modules and on a repeated-blocks corpus of progen programs.
 func TestDedupSelectionEquality(t *testing.T) {
-	sources := []struct{ name, src string }{
-		{"three", threeKernels},
-		{"twin", twinKernels},
+	type source struct {
+		name     string
+		m        *ir.Module
+		repeated bool // isomorphic blocks recur, so dedup must fire
+	}
+	sources := []source{
+		{"three", compileAndProfile(t, threeKernels), false},
+		{"twin", compileAndProfile(t, twinKernels), true},
+	}
+	for _, seed := range []int64{11, 23, 47} {
+		sources = append(sources, source{fmt.Sprintf("progen%d-x4", seed), renamedCopies(t, seed, 4), true})
 	}
 	for _, src := range sources {
-		m := compileAndProfile(t, src.src)
+		m := src.m
 		for _, method := range []string{"iterative", "optimal"} {
 			run := func(cfg Config) SelectionResult {
 				if method == "iterative" {
@@ -104,6 +131,9 @@ func TestDedupSelectionEquality(t *testing.T) {
 				return SelectOptimal(m, 4, cfg)
 			}
 			ref := run(Config{Nin: 2, Nout: 1})
+			if ref.Status != Exhaustive {
+				t.Fatalf("%s/%s: dedup-off reference not exhaustive: %v", src.name, method, ref.Status)
+			}
 			if ref.DedupHits != 0 || ref.SharedInstructions != nil {
 				t.Fatalf("%s/%s: dedup-off reference reported dedup work", src.name, method)
 			}
@@ -119,6 +149,9 @@ func TestDedupSelectionEquality(t *testing.T) {
 					}
 					got := run(cfg)
 					assertDedupEquivalent(t, label, ref, got)
+					if src.repeated && got.DedupHits == 0 {
+						t.Errorf("%s: no dedup hits on repeated structure", label)
+					}
 				}
 			}
 		}

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"isex/internal/dfg"
+	"isex/internal/ir"
 	"isex/internal/obs"
 )
 
@@ -20,16 +22,41 @@ import (
 //     are bit-identical with the racer on or off, under the Parallel
 //     driver, speculation and dedup.
 
+// blockCase is one block searched at one configuration.
+type blockCase struct {
+	label string
+	g     *dfg.Graph
+	cfg   Config
+}
+
 // TestISEGenTerminatingBitIdentical runs the default search with ISEGen
 // on and off: wherever the exact search runs to completion, the racer's
 // bound must change nothing — same cut, same merit, same status, same
-// rung.
+// rung. Besides random graphs it covers real and generated blocks that
+// terminate at the given ports: g721's 126-op hot block, a 76-op progen
+// block that explodes only at 8/4, and two mid-size progen blocks.
 func TestISEGenTerminatingBitIdentical(t *testing.T) {
+	var rows []blockCase
 	for _, seed := range []int64{3, 5, 9} {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(t, rng, 16+rng.Intn(6))
-		label := fmt.Sprintf("seed=%d", seed)
-		cfg := Config{Nin: 4, Nout: 2}
+		rows = append(rows, blockCase{fmt.Sprintf("random/seed=%d/4-2", seed),
+			randomGraph(t, rng, 16+rng.Intn(6)), Config{Nin: 4, Nout: 2}})
+	}
+	rows = append(rows, blockCase{"g721/hot/2-1", hotBlock(t, "g721"), Config{Nin: 2, Nout: 1, MaxCuts: 200_000}})
+	entry := progenBlock(t, 29, "f2", "entry")
+	for _, p := range [][2]int{{2, 1}, {4, 2}} {
+		rows = append(rows, blockCase{fmt.Sprintf("progen29/f2/entry/%d-%d", p[0], p[1]), entry,
+			Config{Nin: p[0], Nout: p[1], MaxCuts: 200_000}})
+	}
+	for _, block := range []string{"join5", "else13"} {
+		g := progenBlock(t, 1, "f1", block)
+		for _, p := range [][2]int{{2, 1}, {4, 2}, {8, 4}} {
+			rows = append(rows, blockCase{fmt.Sprintf("progen1/f1/%s/%d-%d", block, p[0], p[1]), g,
+				Config{Nin: p[0], Nout: p[1]}})
+		}
+	}
+	for _, r := range rows {
+		label, g, cfg := r.label, r.g, r.cfg
 		off, obsOff := searchBlockSafe(context.Background(), g, cfg)
 		if off.Status != Exhaustive {
 			t.Fatalf("%s: racer-off reference did not terminate: %v", label, off.Status)
@@ -48,6 +75,25 @@ func TestISEGenTerminatingBitIdentical(t *testing.T) {
 				label, obsOn.Rung, obsOff.Rung)
 		}
 	}
+}
+
+// progenBlock returns one named block's graph of a progen seed's
+// program (unprofiled).
+func progenBlock(t *testing.T, seed int64, fn, block string) *dfg.Graph {
+	t.Helper()
+	for _, f := range compileProgen(t, seed).Funcs {
+		if f.Name != fn {
+			continue
+		}
+		li := ir.Liveness(f)
+		for _, b := range f.Blocks {
+			if b.Name == block {
+				return mustBuildGraph(t, f, b, li)
+			}
+		}
+	}
+	t.Fatalf("progen seed %d has no block %s/%s", seed, fn, block)
+	return nil
 }
 
 // TestISEGenPublicationSound runs a racer alone until it publishes and
@@ -89,34 +135,56 @@ func TestISEGenPublicationSound(t *testing.T) {
 	}
 }
 
-// TestISEGenAdoptionOnBudgetStop starves the exact search with a tiny
-// cut budget on a large block: the ladder must still return a sound,
+// TestISEGenAdoptionOnBudgetStop starves the exact search with a cut
+// budget it cannot finish in: the ladder must still return a sound,
 // legal answer, the racer's published merit must be recorded, and —
 // since the adoption rung takes the best of all rungs — the returned
-// merit must never fall below it.
+// merit must never fall below it, nor below the racer-less ladder's.
+// Besides a random block at a tiny budget it covers the blocks where the
+// racer matters: g721's hot block at 4/2 and 8/4 and a progen block that
+// explodes at 8/4.
 func TestISEGenAdoptionOnBudgetStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := randomGraph(t, rng, 34)
-	cfg := Config{Nin: 4, Nout: 2, MaxCuts: 64, ISEGen: true}
-	res, bs := searchBlockSafe(context.Background(), g, cfg)
-	if bs.Status == Exhaustive {
-		t.Fatalf("budget of 64 cuts did not trip on a 34-op block (status %v)", bs.Status)
+	rows := []blockCase{{"random/34-op/4-2", randomGraph(t, rng, 34), Config{Nin: 4, Nout: 2, MaxCuts: 64}}}
+	g721 := hotBlock(t, "g721")
+	for _, p := range [][2]int{{4, 2}, {8, 4}} {
+		rows = append(rows, blockCase{fmt.Sprintf("g721/hot/%d-%d", p[0], p[1]), g721,
+			Config{Nin: p[0], Nout: p[1], MaxCuts: 200_000}})
 	}
-	if !res.Found {
-		t.Fatalf("ladder came back empty (status %v)", bs.Status)
-	}
-	if !g.Legal(res.Cut, cfg.Nin, cfg.Nout) || res.Est.Merit <= 0 {
-		t.Fatalf("ladder returned an illegal or worthless cut %v (merit %d)", res.Cut, res.Est.Merit)
-	}
-	if bs.RacerMerit > 0 && res.Est.Merit < bs.RacerMerit {
-		t.Errorf("returned merit %d below the racer's published %d — adoption rung skipped a better answer",
-			res.Est.Merit, bs.RacerMerit)
-	}
-	if bs.Rung == RungIterative && res.Est.Merit != bs.RacerMerit {
-		t.Errorf("rung says iterative but merit %d != racer merit %d", res.Est.Merit, bs.RacerMerit)
-	}
-	if bs.GapKnown {
-		t.Errorf("gap reported on a non-terminating block")
+	rows = append(rows, blockCase{"progen29/f2/entry/8-4", progenBlock(t, 29, "f2", "entry"),
+		Config{Nin: 8, Nout: 4, MaxCuts: 200_000}})
+	for _, r := range rows {
+		label, g, cfg := r.label, r.g, r.cfg
+		cfg.ISEGen = true
+		res, bs := searchBlockSafe(context.Background(), g, cfg)
+		if bs.Status == Exhaustive {
+			t.Fatalf("%s: budget of %d cuts did not trip (status %v)", label, cfg.MaxCuts, bs.Status)
+		}
+		if !res.Found {
+			t.Fatalf("%s: ladder came back empty (status %v)", label, bs.Status)
+		}
+		if !g.Legal(res.Cut, cfg.Nin, cfg.Nout) || res.Est.Merit <= 0 {
+			t.Fatalf("%s: ladder returned an illegal or worthless cut %v (merit %d)", label, res.Cut, res.Est.Merit)
+		}
+		if bs.RacerMerit > 0 && res.Est.Merit < bs.RacerMerit {
+			t.Errorf("%s: returned merit %d below the racer's published %d — adoption rung skipped a better answer",
+				label, res.Est.Merit, bs.RacerMerit)
+		}
+		if bs.Rung == RungIterative && res.Est.Merit != bs.RacerMerit {
+			t.Errorf("%s: rung says iterative but merit %d != racer merit %d", label, res.Est.Merit, bs.RacerMerit)
+		}
+		if bs.GapKnown {
+			t.Errorf("%s: gap reported on a non-terminating block", label)
+		}
+		// The racer can only add: its bound prunes subtrees that cannot
+		// beat it, so the budget-stopped exact rung gets at least as far
+		// through the same DFS order, and the rescue rung (no deadline
+		// here) is unchanged.
+		cfg.ISEGen = false
+		off, _ := searchBlockSafe(context.Background(), g, cfg)
+		if res.Est.Merit < off.Est.Merit {
+			t.Errorf("%s: racer-on merit %d below racer-off merit %d", label, res.Est.Merit, off.Est.Merit)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"isex/internal/dfg"
 	"isex/internal/obs"
 )
 
@@ -35,42 +36,55 @@ func diffConfig(pruned bool) Config {
 	return cfg
 }
 
+// TestObsDifferentialSingle covers a random block at 6/2 and the hot
+// blocks of g721 (a large tree under the paper's search) and fir at 2/1.
 func TestObsDifferentialSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	g := randomGraph(t, rng, 30)
-	for _, pruned := range []bool{false, true} {
-		cfg := diffConfig(pruned)
-		base := FindBestCutCtx(context.Background(), g, cfg)
-		probe := fullProbe()
-		cfg.Probe = probe
-		traced := FindBestCutCtx(context.Background(), g, cfg)
+	for _, row := range []struct {
+		name      string
+		g         *dfg.Graph
+		nin, nout int
+	}{
+		{"random", randomGraph(t, rng, 30), 6, 2},
+		{"g721/hot", hotBlock(t, "g721"), 2, 1},
+		{"fir/hot", hotBlock(t, "fir"), 2, 1},
+	} {
+		for _, pruned := range []bool{false, true} {
+			label := fmt.Sprintf("%s/pruned=%v", row.name, pruned)
+			cfg := diffConfig(pruned)
+			cfg.Nin, cfg.Nout = row.nin, row.nout
+			base := FindBestCutCtx(context.Background(), row.g, cfg)
+			probe := fullProbe()
+			cfg.Probe = probe
+			traced := FindBestCutCtx(context.Background(), row.g, cfg)
 
-		if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
-			base.Est != traced.Est || base.Status != traced.Status {
-			t.Errorf("pruned=%v: traced result diverged:\n base=%+v\ntraced=%+v",
-				pruned, base, traced)
-		}
-		if base.Stats != traced.Stats {
-			t.Errorf("pruned=%v: traced Stats diverged: base=%+v traced=%+v",
-				pruned, base.Stats, traced.Stats)
-		}
-		// The probe must actually have observed the search — a silent
-		// no-op probe would make this whole suite vacuous. Exact registry
-		// parity holds only for the unpruned search (a warm pass flushes
-		// its own cuts into the registry without charging the result's
-		// Stats).
-		snap := probe.Met.Registry().Snapshot()
-		c, _ := snap["search_cuts_considered_total"].(int64)
-		if !pruned && c != base.Stats.CutsConsidered {
-			t.Errorf("pruned=%v: registry saw %d considered cuts, Stats say %d",
-				pruned, c, base.Stats.CutsConsidered)
-		}
-		if c < traced.Stats.CutsConsidered {
-			t.Errorf("pruned=%v: registry saw %d considered cuts, below Stats %d",
-				pruned, c, traced.Stats.CutsConsidered)
-		}
-		if len(probe.Rec.Merge()) == 0 {
-			t.Errorf("pruned=%v: flight recorder captured no events", pruned)
+			if base.Found != traced.Found || !reflect.DeepEqual(base.Cut, traced.Cut) ||
+				base.Est != traced.Est || base.Status != traced.Status {
+				t.Errorf("%s: traced result diverged:\n base=%+v\ntraced=%+v",
+					label, base, traced)
+			}
+			if base.Stats != traced.Stats {
+				t.Errorf("%s: traced Stats diverged: base=%+v traced=%+v",
+					label, base.Stats, traced.Stats)
+			}
+			// The probe must actually have observed the search — a silent
+			// no-op probe would make this whole suite vacuous. Exact
+			// registry parity holds only for the unpruned search (a warm
+			// pass flushes its own cuts into the registry without charging
+			// the result's Stats).
+			snap := probe.Met.Registry().Snapshot()
+			c, _ := snap["search_cuts_considered_total"].(int64)
+			if !pruned && c != base.Stats.CutsConsidered {
+				t.Errorf("%s: registry saw %d considered cuts, Stats say %d",
+					label, c, base.Stats.CutsConsidered)
+			}
+			if c < traced.Stats.CutsConsidered {
+				t.Errorf("%s: registry saw %d considered cuts, below Stats %d",
+					label, c, traced.Stats.CutsConsidered)
+			}
+			if len(probe.Rec.Merge()) == 0 {
+				t.Errorf("%s: flight recorder captured no events", label)
+			}
 		}
 	}
 }

@@ -216,9 +216,17 @@ func (sc *selScheduler) runMulti(t *selTask, g *dfg.Graph, m int, cfg Config) {
 		defer close(t.done)
 		defer guardTask(cfg.Probe, g.Fn.Name, g.Block.Name, &t.bs)
 		defer sc.pool.Release()
-		t.mres, t.bs = searchBlockMultiSafe(sc.ctx, g, m, taskConfig(cfg))
+		t.mres, t.bs = searchBlockMultiSafe(sc.ctx, taskView(g), m, taskConfig(cfg))
 	}()
 }
+
+// taskView returns the graph a task goroutine searches: g's nodes, IDs
+// and constraint tables, but its own kernel scratch (a full-range
+// Restrict). A graph's scratch is not safe for concurrent use, and the
+// optimal driver runs tasks for M and M+1 cuts of one block at once
+// while the driver goroutine keeps querying the block's graph (dedup
+// translation, memo stores).
+func taskView(g *dfg.Graph) *dfg.Graph { return g.Restrict(0, g.NumOps()) }
 
 // runSingle is runMulti for the single-cut search.
 func (sc *selScheduler) runSingle(t *selTask, g *dfg.Graph, cfg Config) {
@@ -234,7 +242,7 @@ func (sc *selScheduler) runSingle(t *selTask, g *dfg.Graph, cfg Config) {
 		defer close(t.done)
 		defer guardTask(cfg.Probe, g.Fn.Name, g.Block.Name, &t.bs)
 		defer sc.pool.Release()
-		t.res, t.bs = searchBlockSafe(sc.ctx, g, taskConfig(cfg))
+		t.res, t.bs = searchBlockSafe(sc.ctx, taskView(g), taskConfig(cfg))
 	}()
 }
 
@@ -314,7 +322,7 @@ func (sc *selScheduler) specMulti(g *dfg.Graph, fp uint64, m int, cfg Config, sp
 		defer close(t.done)
 		defer guardTask(cfg.Probe, g.Fn.Name, g.Block.Name, &t.bs)
 		defer sc.pool.Release()
-		t.mres, t.bs = searchBlockMultiSafe(tctx, g, m, taskConfig(cfg))
+		t.mres, t.bs = searchBlockMultiSafe(tctx, taskView(g), m, taskConfig(cfg))
 	}()
 	return true
 }

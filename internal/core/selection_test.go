@@ -7,6 +7,7 @@ import (
 	"isex/internal/ir"
 	"isex/internal/minic"
 	"isex/internal/passes"
+	"isex/internal/progen"
 )
 
 // compileAndProfile builds a module, runs the pass pipeline, and profiles
@@ -24,6 +25,20 @@ func compileAndProfile(t *testing.T, src string, args ...int32) *ir.Module {
 	env.Profile = true
 	if _, _, err := env.Call("main", args...); err != nil {
 		t.Fatal(err)
+	}
+	return m
+}
+
+// compileProgen compiles a progen seed's program and runs the pass
+// pipeline, unprofiled: every block frequency weighs one execution.
+func compileProgen(t *testing.T, seed int64) *ir.Module {
+	t.Helper()
+	m, err := minic.Compile(progen.Generate(progen.Config{Seed: seed}).Source, minic.Options{})
+	if err != nil {
+		t.Fatalf("progen seed %d: %v", seed, err)
+	}
+	if err := passes.Run(m, passes.Options{}); err != nil {
+		t.Fatalf("progen seed %d: %v", seed, err)
 	}
 	return m
 }

@@ -25,11 +25,10 @@
 // The tables are immutable after construction and shared by Restrict
 // views; the small scratch accumulators are per-Graph, so queries on one
 // Graph value are not safe for concurrent use. The search engines honor
-// this: the parallel branch-and-bound workers touch only the immutable
-// node tables (their searchers keep private incremental state) and every
-// kernel query — Evaluate at merge time, the selection layer's checks —
+// this: every kernel query — Evaluate, the selection layer's checks —
 // runs single-threaded on the owning goroutine, or on a Restrict view,
-// which shares the tables but owns its scratch.
+// which shares the tables but owns its scratch (the iterative racer and
+// the selection scheduler's task goroutines search such views).
 package dfg
 
 import "math/bits"

@@ -51,14 +51,36 @@ func TestSweepDeterminism(t *testing.T) {
 
 // TestSweepWarmMatchesCold asserts the seeding/dedup/prefix machinery
 // is result-preserving: every warm cell selects bit-identical
-// instructions to a dedicated cold serial run.
+// instructions to a dedicated cold serial run. The small grid must also
+// complete every search, which is where the identity is a contract. The
+// default grid (the `isebench -fig dse` and `isex -sweep` one) has
+// budget-stopped cells, where a seed may change the incumbent
+// (core.SeedBook); their identity is asserted as observed today, so a
+// change that breaks it has to say why.
 func TestSweepWarmMatchesCold(t *testing.T) {
-	warmOpt := testOptions()
-	warm, _, err := Sweep(context.Background(), warmOpt)
+	for _, tc := range []struct {
+		name       string
+		opt        Options
+		exhaustive bool // every cell must complete within budget
+	}{
+		{"small", testOptions(), true},
+		{"default", DefaultOptions(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.exhaustive && testing.Short() {
+				t.Skip("the default-grid cold sweep takes seconds")
+			}
+			assertWarmMatchesCold(t, tc.opt, tc.exhaustive)
+		})
+	}
+}
+
+func assertWarmMatchesCold(t *testing.T, opt Options, exhaustive bool) {
+	warm, _, err := Sweep(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldOpt := testOptions()
+	coldOpt := opt
 	coldOpt.Cold = true
 	cold, _, err := Sweep(context.Background(), coldOpt)
 	if err != nil {
@@ -78,7 +100,7 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 			}
 			for i := range w.Cells {
 				wc, cc := w.Cells[i], c.Cells[i]
-				if wc.Status != "exhaustive" || cc.Status != "exhaustive" {
+				if exhaustive && (wc.Status != "exhaustive" || cc.Status != "exhaustive") {
 					t.Errorf("cell (%d,%d,%d): non-exhaustive status warm=%q cold=%q — identity claim needs completed searches",
 						wc.Nin, wc.Nout, wc.Ninstr, wc.Status, cc.Status)
 				}

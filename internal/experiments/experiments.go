@@ -136,21 +136,11 @@ type CompareOptions struct {
 	// Deadline, when positive, bounds each selection call's wall clock;
 	// cells that trip it report a degraded (lower-bound) status.
 	Deadline time.Duration
-	// Search knobs, forwarded to core.Config for the exact methods
-	// (Optimal/Iterative; the linear baselines ignore them). All are
-	// result-preserving on searches that complete, so Fig. 11 numbers
-	// do not change — only the wall clock does.
-	//
-	// Parallel searches a selection's blocks concurrently; Speculate
-	// runs the selection scheduler with speculative lookahead;
-	// Dedup adopts results across isomorphic blocks; ISEGen races the
-	// Kernighan–Lin toggle engine on exploding blocks; WarmStart seeds
-	// each search with a windowed heuristic incumbent.
-	Parallel  bool
-	Speculate bool
-	Dedup     bool
-	ISEGen    bool
-	WarmStart bool
+	// ISEGen races the Kernighan–Lin toggle engine on exploding blocks
+	// (forwarded to core.Config for the exact methods; the linear
+	// baselines ignore it). It changes only budget-stopped cells, which
+	// may gain merit.
+	ISEGen bool
 }
 
 // DefaultCompareOptions mirrors the paper's setup: three benchmarks,
@@ -195,8 +185,7 @@ func Compare(opt CompareOptions) ([]ComparisonRow, error) {
 		for _, c := range opt.Constraints {
 			cfg := core.Config{
 				Nin: c[0], Nout: c[1], Model: model, MaxCuts: opt.Budget,
-				Parallel: opt.Parallel, Speculate: opt.Speculate, Dedup: opt.Dedup,
-				ISEGen: opt.ISEGen, WarmStart: opt.WarmStart,
+				ISEGen: opt.ISEGen,
 			}
 			for _, n := range opt.Ninstr {
 				row := ComparisonRow{

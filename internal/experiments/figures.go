@@ -8,6 +8,7 @@ import (
 
 	"isex/internal/core"
 	"isex/internal/dfg"
+	"isex/internal/dse"
 	"isex/internal/ir"
 	"isex/internal/latency"
 	"isex/internal/minic"
@@ -684,4 +685,45 @@ func IfConvTable(rows []IfConvRow) string {
 			fmt.Sprintf("%.3f", r.WithoutIfConv), r.HotBlockOpsWithout)
 	}
 	return t.String()
+}
+
+// ---------------------------------------------------------------------------
+// Design-space exploration — the sweep report of package dse.
+
+// DSETable renders a sweep report (the deterministic Pareto artifact)
+// for terminal output: per (benchmark, target), the baseline, the cell
+// grid, and the Pareto frontier.
+func DSETable(rep *dse.Report, stats *dse.Stats) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "DSE sweep (%s mode) — constraints %v, ninstr %v, budget %d\n",
+		rep.Mode, rep.Constraints, rep.Ninstr, rep.Budget)
+	if stats != nil {
+		fmt.Fprintf(&sb, "%.2fs wall, %d selections, %d ident calls, %d seed hits, %d dedup hits\n",
+			stats.Elapsed.Seconds(), stats.Selections, stats.IdentCalls, stats.SeedHits, stats.DedupHits)
+	}
+	for _, b := range rep.Benchmarks {
+		for _, t := range b.Targets {
+			fmt.Fprintf(&sb, "\n%s on %s — baseline %d cycles\n", b.Benchmark, t.Target, t.BaselineCycles)
+			fmt.Fprintf(&sb, "  %5s %6s %9s %8s %8s %6s %14s\n",
+				"ports", "ninstr", "merit", "speedup", "area", "instrs", "status")
+			for _, c := range t.Cells {
+				mark := ""
+				if c.Clamped {
+					mark = "†"
+				}
+				fmt.Fprintf(&sb, "  %2d/%-2d %6d %9d %7.3f%s %8.2f %6d %14s\n",
+					c.Nin, c.Nout, c.Ninstr, c.Merit, c.Speedup, mark, c.Area, len(c.Instructions), c.Status)
+			}
+			fmt.Fprintf(&sb, "  Pareto frontier (area ↑ as speedup ↑):\n")
+			for _, p := range t.Pareto {
+				mark := ""
+				if p.Clamped {
+					mark = "†"
+				}
+				fmt.Fprintf(&sb, "    area %8.2f  speedup %7.3f%s  ninstr %2d at %d/%d ports\n",
+					p.Area, p.Speedup, mark, p.Ninstr, p.Nin, p.Nout)
+			}
+		}
+	}
+	return sb.String()
 }
